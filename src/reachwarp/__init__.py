@@ -13,8 +13,7 @@ from .model import (ControlPolytope, FrobeniusBall, LinearSystem, ball_argmax,
                     ball_contains, box_polytope, unit_direction, vertex_polytope)
 from .reach import (BoundaryPoint, CostatePath, GrowthReport, boundary_point,
                     boundary_sweep, costate_path, direction_fan, growth_metric,
-                    optimal_vertex, propagate_step, support_oracle,
-                    zero_input_endpoint)
+                    support_oracle, zero_input_endpoint)
 from .warp import (AssumptionReport, Candidate, WarpResult, check_assumptions,
                    initial_costate, optimize_B)
 from .verify import SampleVerdict, sample_ball, verify_optimality
@@ -30,7 +29,7 @@ __all__ = [
     "LinearSystem", "ControlPolytope", "FrobeniusBall", "box_polytope",
     "vertex_polytope", "ball_argmax", "ball_contains", "unit_direction",
     "CostatePath", "costate_path", "BoundaryPoint", "GrowthReport",
-    "optimal_vertex", "propagate_step", "boundary_point", "boundary_sweep",
+    "boundary_point", "boundary_sweep",
     "zero_input_endpoint", "growth_metric", "direction_fan", "support_oracle",
     "AssumptionReport", "Candidate", "WarpResult", "initial_costate",
     "check_assumptions", "optimize_B",

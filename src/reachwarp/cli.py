@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ProblemConfig, load_config
+from .config import ProblemConfig, _matrix_field, load_config
 from .errors import ConfigError, NumericError, ReachwarpError
 from .fixtures import fixture_config, fixture_description, fixture_names
 from .model import FrobeniusBall
@@ -141,6 +141,15 @@ def _run_optimize(problem: ProblemConfig, steps: int) -> WarpResult:
     return result
 
 
+def _regime(problem: ProblemConfig, result: WarpResult | None) -> str:
+    """Assumption regime of the run, from the selection when one was made."""
+    if result is not None:
+        return result.report.regime
+    return check_assumptions(problem.system, problem.direction,
+                             problem.tolerances.tol_spec,
+                             problem.tolerances.tol_ev).regime
+
+
 def _resolve_B(args, problem: ProblemConfig, steps: int):
     """Input matrix selected by --B: the ball center, the optimizer output,
     or a matrix file; returns (B, tag, warp_result_or_None)."""
@@ -158,20 +167,14 @@ def _resolve_B(args, problem: ProblemConfig, steps: int):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"matrix file {path} is not valid JSON: {exc.msg} "
                           f"(line {exc.lineno}, column {exc.colno})") from exc
-    if isinstance(data, dict):
-        if "B" not in data:
-            raise ConfigError(f"matrix file {path}: expected a 'B' field")
-        data = data["B"]
     try:
-        B = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"matrix file {path}: not a numeric matrix ({exc})") from exc
+        B = _matrix_field(data if isinstance(data, dict) else {"B": data}, "B")
+    except ConfigError as exc:
+        raise ConfigError(f"matrix file {path}: {exc}") from exc
     expected = (problem.system.n, problem.system.m)
-    if B.ndim != 2 or B.shape != expected:
+    if B.shape != expected:
         raise ConfigError(f"matrix file {path}: expected shape {expected}, got "
-                          f"{B.shape if B.ndim == 2 else B.shape}")
-    if not np.all(np.isfinite(B)):
-        raise ConfigError(f"matrix file {path}: non-finite entries")
+                          f"{B.shape}")
     return B, "custom", None
 
 
@@ -209,11 +212,8 @@ def cmd_boundary(args) -> int:
         grown = sum(1 for p, q in zip(points, nominal)
                     if p.support_value > q.support_value)
         extras["directions_grown"] = grown
-    regime = (result.report.regime if result is not None
-              else check_assumptions(problem.system, problem.direction,
-                                     problem.tolerances.tol_spec,
-                                     problem.tolerances.tol_ev).regime)
-    _manifest(out, "boundary", problem, regime, started, [name], extras)
+    _manifest(out, "boundary", problem, _regime(problem, result), started,
+              [name], extras)
     return 0
 
 
@@ -248,11 +248,8 @@ def cmd_metric(args) -> int:
         "steps": steps,
     }
     _write_json(out / "metric.json", payload)
-    regime = (result.report.regime if result is not None
-              else check_assumptions(problem.system, problem.direction,
-                                     problem.tolerances.tol_spec,
-                                     problem.tolerances.tol_ev).regime)
-    _manifest(out, "metric", problem, regime, started, ["metric.json"])
+    _manifest(out, "metric", problem, _regime(problem, result), started,
+              ["metric.json"])
     return 0
 
 

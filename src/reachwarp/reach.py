@@ -1,4 +1,4 @@
-"""Reachable-set boundary points of linear systems via adjoint-driven controls.
+"""Reachable-set boundary points and the directional growth metric.
 
 For x' = A x + B u the adjoint equation P' = -A^T P with terminal value
 P(T) = d decouples from the state and has the closed form
@@ -8,22 +8,33 @@ of the reachable set, with d the outward normal there.  No two-point
 boundary value problem has to be shot: everything reduces to matrix
 exponentials.
 
-Discretization: the horizon is split into equal steps, the maximizing
-vertex is chosen once per step from the adjoint evaluated at the step
-midpoint, and the state is advanced with the exact constant-input flow
-x_next = e^{Ah} x + (int_0^h e^{As} ds) B u.  Both step matrices come from
-one augmented matrix exponential and are cached per (A, h); adjoint
-midpoint values are accumulated backward from P(T) = d with repeated
-multiplication by e^{A^T h}, costing two exponentials total per sweep
-direction.
+Discretization: the horizon is split into N equal steps of length h and
+step k holds the vertex u_{i_k} chosen from the adjoint at the step
+midpoint.  With E = e^{Ah} and Gamma = int_0^h e^{As} ds, both from one
+augmented matrix exponential cached per (A, h), the exact step map gives
+
+    X_dB = E^N X0 + sum_k E^{N-1-k} Gamma B u_{i_k}.
+
+The end-of-step co-states R_k = (E^T)^{N-1-k} d give the midpoint
+co-states P_k = e^{A^T h/2} R_k, which pick i_k = argmax_j P_k^T B u_j
+(ties to the lowest index), and the step weights W_k = Gamma^T R_k, which
+weigh that vertex's gain: G_d(B) = d . (X_dB - e^{AT} X0) = sum_k W_k^T B u_{i_k}
+is linear in B once the vertex sequence is fixed, and X0 drops out.  It is
+summed run by run (a run is a stretch of steps holding one vertex) with no
+state propagated, through one function for every caller.
+
+All powers of E come from two tables of about sqrt(N) matrices each,
+E^{ab + r} = E^{ab} E^r with r < b = ceil(sqrt(N)): one product with them
+gives every R_k, and X_dB, needed only as output, is advanced run by run
+with E^L and S_L = sum_{i<L} E^i from the same tables, which keeps G_d
+equal to d . (X_dB - E^N X0) up to rounding.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -35,7 +46,7 @@ DEFAULT_STEPS = 2000
 
 DEFAULT_QUAD_NODES = 4000
 
-THREADS_ENV_VAR = "REACHWARP_THREADS"
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -91,51 +102,10 @@ class GrowthReport:
     B: np.ndarray
 
 
-def optimal_vertex(P, B, U: ControlPolytope) -> tuple[int, np.ndarray]:
-    """Vertex of U maximizing P^T B u; ties go to the lowest vertex index."""
-    Pv = np.asarray(P, dtype=float)
-    Bm = as_matrix(B, "B")
-    if Pv.ndim != 1 or Pv.shape[0] != Bm.shape[0]:
-        raise DimensionError(f"adjoint vector has shape {Pv.shape} but B is "
-                             f"{Bm.shape[0]}x{Bm.shape[1]}")
-    if Bm.shape[1] != U.m:
-        raise DimensionError(f"B has {Bm.shape[1]} columns but the control set "
-                             f"has dimension {U.m}")
-    values = U.vertices @ (Bm.T @ Pv)
-    i = int(np.argmax(values))
-    return i, U.vertices[i]
-
-
-def propagate_step(A, B, u, x, h: float) -> np.ndarray:
-    """Exact flow of x' = A x + B u over a step of length h (u held constant).
-
-    Uses the augmented matrix trick: the top-right block of
-    exp([[A, B u], [0, 0]] h) is int_0^h e^{As} ds . B u.
-    """
-    Am = as_matrix(A, "A")
-    n = Am.shape[0]
-    if Am.shape[1] != n:
-        raise DimensionError(f"A must be square, got shape {Am.shape}")
-    Bm = as_matrix(B, "B")
-    uv = np.asarray(u, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    if Bm.shape[0] != n or uv.shape != (Bm.shape[1],) or xv.shape != (n,):
-        raise DimensionError(f"inconsistent shapes: A {Am.shape}, B {Bm.shape}, "
-                             f"u {uv.shape}, x {xv.shape}")
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise DomainError(f"step length h must be positive and finite, got {h!r}")
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = Am * h
-    aug[:n, n] = (Bm @ uv) * h
-    E = mat_exp(aug)
-    return E[:n, :n] @ xv + E[:n, n]
-
-
 @lru_cache(maxsize=64)
 def _step_matrices(a_key: bytes, n: int, h: float):
     """Per-(A, h) step data: e^{Ah}, Gamma(h) = int_0^h e^{As} ds, and the
-    adjoint step e^{A^T h} plus its half step."""
+    adjoint half step e^{A^T h/2}."""
     A = np.frombuffer(a_key, dtype=float).reshape(n, n)
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = A * h
@@ -143,62 +113,115 @@ def _step_matrices(a_key: bytes, n: int, h: float):
     EG = np.asarray(mat_exp(aug))
     E = EG[:n, :n].copy()
     Gam = EG[:n, n:].copy()
-    F = E.T.copy()
     Fh = np.asarray(mat_exp(A.T * (h / 2.0))).copy()
-    for M in (E, Gam, F, Fh):
+    for M in (E, Gam, Fh):
         M.setflags(write=False)
-    return E, Gam, F, Fh
+    return E, Gam, Fh
 
 
-_SCAN_BLOCK = 64
+@lru_cache(maxsize=16)
+def _flow(a_key: bytes, n: int, T: float) -> np.ndarray:
+    """Drift-only transition e^{AT}, one exponential per (A, T)."""
+    return mat_exp(np.frombuffer(a_key, dtype=float).reshape(n, n) * T)
 
 
-@lru_cache(maxsize=64)
-def _midpoint_costates(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
-    """Adjoint values at all step midpoints, accumulated backward from P(T) = d.
-
-    The recursion P[k-1] = e^{A^T h} P[k] is advanced in blocks: the last
-    block is filled one step at a time, earlier blocks apply the matrix
-    power e^{A^T h}^block to a whole filled block at once.
-    """
-    d = np.frombuffer(d_key, dtype=float)
-    _, _, F, Fh = _step_matrices(a_key, n, T / steps)
-    P = np.empty((steps, n))
-    block = min(_SCAN_BLOCK, steps)
-    p = Fh @ d
-    for j in range(block):
-        P[steps - 1 - j] = p
-        p = F @ p
-    lowest = steps - block
-    if lowest > 0:
-        Fb_T = np.linalg.matrix_power(F, block).T
-        while lowest > 0:
-            lo = max(0, lowest - block)
-            P[lo:lowest] = P[lo + block:lowest + block] @ Fb_T
-            lowest = lo
-    P.setflags(write=False)
-    return P
+def _power_block(steps: int) -> int:
+    """Block length b = ceil(sqrt(steps)) of the two-level power tables."""
+    return isqrt(steps - 1) + 1
 
 
 @lru_cache(maxsize=8)
-def _segment_tables(a_key: bytes, n: int, h: float, steps: int):
-    """Cumulative step powers e^{Ah}^L and geometric sums sum_{i<L} e^{Ah}^i,
-    so a run of L equal-vertex steps collapses into two matrix products."""
-    E, _, _, _ = _step_matrices(a_key, n, h)
-    E_pow = np.empty((steps + 1, n, n))
-    S_sum = np.empty((steps + 1, n, n))
-    E_pow[0] = np.eye(n)
-    S_sum[0] = 0.0
-    for L in range(1, steps + 1):
-        E_pow[L] = E @ E_pow[L - 1]
-        S_sum[L] = np.eye(n) + E @ S_sum[L - 1]
-    E_pow.setflags(write=False)
-    S_sum.setflags(write=False)
-    return E_pow, S_sum
+def _power_tables(a_key: bytes, n: int, h: float, steps: int):
+    """Two-level tables of the powers of E = e^{Ah} up to E^steps.
+
+    With b = _power_block(steps): E^r and S_r for r < b, and E^{ab} and
+    S_{ab} for ab <= steps, where S_L = sum_{i<L} E^i.  Any power is then
+    E^{ab + r} = E^{ab} E^r, and a run of L = ab + r equal steps with step
+    input c maps x to E^{ab} (E^r x + S_r c) + S_{ab} c = E^L x + S_L c.
+    """
+    E, _, _ = _step_matrices(a_key, n, h)
+    b = _power_block(steps)
+    eye = np.eye(n)
+    Er = np.empty((b, n, n))
+    Sr = np.empty((b, n, n))
+    Er[0] = eye
+    Sr[0] = 0.0
+    for r in range(1, b):
+        Er[r] = E @ Er[r - 1]
+        Sr[r] = eye + E @ Sr[r - 1]
+    Eb = E @ Er[b - 1]
+    Sb = eye + E @ Sr[b - 1]
+    count = steps // b + 1
+    Eab = np.empty((count, n, n))
+    Sab = np.empty((count, n, n))
+    Eab[0] = eye
+    Sab[0] = 0.0
+    for a in range(1, count):
+        Eab[a] = Eb @ Eab[a - 1]
+        Sab[a] = Sab[a - 1] + Eab[a - 1] @ Sb
+    for M in (Er, Sr, Eab, Sab):
+        M.setflags(write=False)
+    return Er, Sr, Eab, Sab
 
 
-# beyond this table size, fall back to plain per-step propagation
-_SEGMENT_TABLE_LIMIT = 2_000_000
+@lru_cache(maxsize=64)
+def _costate_tables(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
+    """Midpoint co-states P and step weights W of every step.
+
+    The end-of-step co-state of step k is R_k = (E^T)^j d with
+    j = steps - 1 - k.  Writing j = ab + r, R_k^T = (d^T E^{ab}) E^r, so the
+    whole backward scan is one product of the rows d^T E^{ab} with the
+    power table E^r.  Row k of P is e^{A^T h/2} R_k, row k of W is
+    Gamma^T R_k.
+    """
+    d = np.frombuffer(d_key, dtype=float)
+    h = T / steps
+    _, Gam, Fh = _step_matrices(a_key, n, h)
+    Er, _, Eab, _ = _power_tables(a_key, n, h, steps)
+    b = Er.shape[0]
+    rows = (d @ Eab) @ Er.transpose(1, 0, 2).reshape(n, b * n)
+    R = rows.reshape(-1, n)[steps - 1::-1]
+    P = R @ Fh.T
+    W = R @ Gam
+    P.setflags(write=False)
+    W.setflags(write=False)
+    return P, W
+
+
+def _midpoint_costates(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
+    """Adjoint values at all step midpoints, one row per step."""
+    return _costate_tables(a_key, n, d_key, T, steps)[0]
+
+
+def _vertex_runs(P: np.ndarray, B: np.ndarray, V: np.ndarray):
+    """First step and vertex index of every run of steps holding one vertex.
+
+    Step k holds the vertex maximizing P[k] . B u_j; ties go to the lowest
+    vertex index.
+    """
+    idx = np.argmax(P @ (B @ V.T), axis=1)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
+    return starts, idx[starts]
+
+
+def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, V: np.ndarray) -> float:
+    """G_d(B) = sum over runs of (sum of the run's W_k)^T B u_j.
+
+    P and W come from _costate_tables, V holds the vertices as rows; B is
+    trusted to have the system's shape.
+    """
+    starts, vertex = _vertex_runs(P, B, V)
+    gains = np.add.reduceat(W, starts, axis=0) @ B
+    G = float(np.sum(gains * V[vertex]))
+    if not np.isfinite(G):
+        raise NumericError("growth metric is non-finite; the dynamics overflow "
+                           "the horizon")
+    return G
+
+
+def _costate_weights(sys: LinearSystem, d: np.ndarray, steps: int):
+    """(P, W) tables of _costate_tables for a validated unit direction d."""
+    return _costate_tables(sys.A.tobytes(), sys.n, d.tobytes(), sys.T, steps)
 
 
 def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, d) -> tuple[np.ndarray, np.ndarray]:
@@ -237,39 +260,29 @@ def boundary_point(sys: LinearSystem, B, U: ControlPolytope, d,
     steps = _check_steps(steps)
     h = sys.T / steps
     a_key = sys.A.tobytes()
-    E, Gam, _, _ = _step_matrices(a_key, sys.n, h)
+    _, Gam, _ = _step_matrices(a_key, sys.n, h)
     P = _midpoint_costates(a_key, sys.n, dv.tobytes(), sys.T, steps)
-    # vertex choice for every step at once: column j holds P_mid . (B u_j)
-    scores = (P @ Bm) @ U.vertices.T
-    idx = np.argmax(scores, axis=1)
-    GBV = np.ascontiguousarray((Gam @ (Bm @ U.vertices.T)).T)
+    starts, vertex = _vertex_runs(P, Bm, U.vertices)
+    Er, Sr, Eab, Sab = _power_tables(a_key, sys.n, h, steps)
+    b = Er.shape[0]
+    inputs = (Gam @ (Bm @ U.vertices[vertex].T)).T
+    lengths = np.diff(np.append(starts, steps))
     x = np.array(sys.X0, dtype=float)
-    # runs of consecutive steps that hold the same vertex
-    change = np.flatnonzero(np.diff(idx)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [steps]))
-    switches = [(float(s * h), int(idx[s])) for s in starts]
-    if (steps + 1) * sys.n * sys.n <= _SEGMENT_TABLE_LIMIT:
-        E_pow, S_sum = _segment_tables(a_key, sys.n, h, steps)
-        for s, e in zip(starts, ends):
-            run = int(e - s)
-            x = E_pow[run] @ x + S_sum[run] @ GBV[int(idx[s])]
-    else:
-        for s, e in zip(starts, ends):
-            c = GBV[int(idx[s])]
-            for _ in range(int(e - s)):
-                x = E @ x + c
+    for L, c in zip(lengths, inputs):
+        a, r = divmod(int(L), b)
+        x = Eab[a] @ (Er[r] @ x + Sr[r] @ c) + Sab[a] @ c
     if not np.all(np.isfinite(x)):
         raise NumericError("propagated state is non-finite; the dynamics overflow "
                            "the horizon")
     x.setflags(write=False)
+    switches = tuple((float(s * h), int(j)) for s, j in zip(starts, vertex))
     return BoundaryPoint(d=dv, X_dB=x, support_value=float(dv @ x),
-                         switch_times=tuple(switches), steps=steps)
+                         switch_times=switches, steps=steps)
 
 
 def zero_input_endpoint(sys: LinearSystem) -> np.ndarray:
     """Endpoint e^{AT} X0 of the drift-only trajectory (u = 0)."""
-    return mat_exp(sys.A * sys.T) @ sys.X0
+    return _flow(sys.A.tobytes(), sys.n, sys.T) @ sys.X0
 
 
 def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
@@ -278,45 +291,27 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
 
     Positive values mean the controls push the reachable set past the
     drift-only endpoint c0 along d; for control sets containing 0 the
-    metric is nonnegative by construction.
+    metric is nonnegative by construction.  G_d is the co-state weighted
+    sum of the module docstring; X_dB and c0 are reported alongside it.
     """
-    bp = boundary_point(sys, B, U, d, steps)
+    Bm, dv = _check_reach_args(sys, B, U, d)
+    steps = _check_steps(steps)
+    bp = boundary_point(sys, Bm, U, dv, steps)
     c0 = zero_input_endpoint(sys)
     if not np.all(np.isfinite(c0)):
         raise NumericError("drift endpoint is non-finite; the dynamics overflow "
                            "the horizon")
-    G = float(bp.d @ (bp.X_dB - c0))
-    return GrowthReport(G_d=G, c0=c0, X_dB=bp.X_dB, B=as_matrix(B, "B"))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    G = _growth(*_costate_weights(sys, dv, steps), Bm, U.vertices)
+    return GrowthReport(G_d=G, c0=c0, X_dB=bp.X_dB, B=Bm)
 
 
 def boundary_sweep(sys: LinearSystem, B, U: ControlPolytope, directions,
                    steps: int = DEFAULT_STEPS) -> list[BoundaryPoint]:
-    """Boundary points for a list of directions, in the order given.
-
-    Evaluation is sequential unless the REACHWARP_THREADS environment
-    variable asks for more workers; results are identical either way
-    because each direction is independent and the shared step matrices are
-    computed before fan-out.
-    """
+    """Boundary points for a list of directions, in the order given."""
     dirs = [unit_direction(d) for d in directions]
     if not dirs:
         raise GeometryError("boundary_sweep needs at least one direction")
     steps = _check_steps(steps)
-    workers = _thread_cap()
-    if workers > 1 and len(dirs) > 1:
-        _step_matrices(sys.A.tobytes(), sys.n, sys.T / steps)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda dd: boundary_point(sys, B, U, dd, steps), dirs))
     return [boundary_point(sys, B, U, dd, steps) for dd in dirs]
 
 
@@ -383,7 +378,7 @@ def support_oracle(sys: LinearSystem, B, U: ControlPolytope, d,
     step_fwd = np.asarray(mat_exp(-AT * delta))
     BV = Bm @ U.vertices.T
     # adjoint weights at all quadrature nodes: w[j+1] = step_fwd w[j],
-    # advanced block-at-a-time like the midpoint costate scan
+    # advanced block-at-a-time
     W = np.empty((npts, sys.n))
     W[0] = np.asarray(mat_exp(AT * sys.T)) @ dv
     block = min(_SCAN_BLOCK, npts - 1)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ControlPolytope, FrobeniusBall, LinearSystem
-from .reach import DEFAULT_STEPS, growth_metric
+from .reach import (DEFAULT_STEPS, _check_reach_args, _costate_weights, _growth,
+                    growth_metric)
 from .warp import WarpResult, optimize_B
 
 DEFAULT_SAMPLES = 1000
@@ -73,24 +74,27 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
                       result: WarpResult | None = None) -> SampleVerdict:
     """Try to beat the selected matrix with k uniform samples from the ball.
 
-    Accepts a precomputed WarpResult to avoid re-running the selection; the
-    verdict reduction is a plain extremum over samples, so the outcome does
-    not depend on evaluation order.
+    Accepts a precomputed WarpResult to avoid re-running the selection.
+    G_star is the growth metric of its B_star at this check's step count,
+    and every sample is scored by the same co-state weighted sum, with the
+    shape checks and the co-state lookup done once for all samples, so the
+    margin compares like with like.  The verdict reduction is a plain extremum over samples,
+    with the first sample winning ties, so the outcome does not depend on
+    evaluation order.
     """
     if tol_verify < 0.0:
         raise DomainError(f"tol_verify must be nonnegative, got {tol_verify}")
     if result is None:
         result = optimize_B(sys, U, ball, d, sense, steps)
-    G_star = result.G_optimized
-    best_G = None
-    best_B = None
-    for M in sample_ball(ball, k, seed):
-        g = growth_metric(sys, M, U, d, steps).G_d
-        if best_G is None or (g > best_G if sense == "grow" else g < best_G):
-            best_G = g
-            best_B = M
+    _, dv = _check_reach_args(sys, ball.center, U, d)
+    G_star = growth_metric(sys, result.B_star, U, dv, steps).G_d
+    P, W = _costate_weights(sys, dv, int(steps))
+    samples = sample_ball(ball, k, seed)
+    values = np.array([_growth(P, W, M, U.vertices) for M in samples])
+    best = int(np.argmax(values) if sense == "grow" else np.argmin(values))
+    best_G = float(values[best])
     margin = G_star - best_G if sense == "grow" else best_G - G_star
-    return SampleVerdict(samples=int(k), best_sampled_G=float(best_G),
-                         best_sampled_B=best_B, G_star=float(G_star),
+    return SampleVerdict(samples=int(k), best_sampled_G=best_G,
+                         best_sampled_B=samples[best], G_star=float(G_star),
                          margin=float(margin), passed=bool(margin >= -tol_verify),
                          tol_verify=float(tol_verify))

@@ -6,9 +6,12 @@ import pytest
 from reachwarp import (DimensionError, DomainError, GeometryError, LinearSystem,
                        NumericError, boundary_point, boundary_sweep, box_polytope,
                        costate_path, direction_fan, growth_metric, mat_exp,
-                       optimal_vertex, propagate_step, support_oracle,
-                       zero_input_endpoint)
-from reachwarp.reach import _midpoint_costates
+                       parse_config, sample_ball, support_oracle,
+                       verify_optimality, zero_input_endpoint)
+from reachwarp import reach, warp
+from reachwarp.fixtures import fixture_config, fixture_names
+from reachwarp.reach import (_costate_weights, _growth, _midpoint_costates,
+                             _power_block, _step_matrices)
 
 from conftest import series_exp
 
@@ -55,45 +58,6 @@ def test_costate_rejects_time_outside_horizon():
         path.at(1.1)
 
 
-def test_optimal_vertex_sign_rule():
-    i, u = optimal_vertex([2.0, -3.0], np.eye(2), BOX2)
-    assert tuple(u) == (1.0, -1.0)
-    assert i == 1
-
-
-def test_optimal_vertex_tie_break_lowest_index():
-    i, u = optimal_vertex([0.0, 5.0], np.eye(2), BOX2)
-    assert i == 2
-    assert tuple(u) == (-1.0, 1.0)
-    i, u = optimal_vertex([0.0, 0.0], np.eye(2), BOX2)
-    assert i == 0
-    assert tuple(u) == (-1.0, -1.0)
-
-
-def test_propagate_step_pure_integrator():
-    out = propagate_step(np.zeros((2, 2)), np.eye(2), [1.0, 0.0], [0.0, 0.0], 1.0)
-    assert np.allclose(out, [1.0, 0.0], atol=1e-14)
-
-
-def test_propagate_step_zero_input_is_flow():
-    A = np.array([[-0.3, 1.0], [0.0, -0.6]])
-    x = np.array([1.0, -2.0])
-    out = propagate_step(A, np.eye(2), [0.0, 0.0], x, 0.7)
-    assert np.allclose(out, mat_exp(A * 0.7) @ x, atol=1e-13)
-
-
-def test_propagate_step_scalar_analytic():
-    out = propagate_step([[-1.0]], [[1.0]], [1.0], [0.0], 1.0)
-    assert abs(out[0] - (1.0 - np.exp(-1.0))) <= 1e-13
-
-
-def test_propagate_step_rejects_bad_step():
-    with pytest.raises(DomainError):
-        propagate_step([[-1.0]], [[1.0]], [1.0], [0.0], 0.0)
-    with pytest.raises(DimensionError):
-        propagate_step([[-1.0]], [[1.0]], [1.0, 2.0], [0.0], 0.5)
-
-
 def test_boundary_point_integrator_tie_break():
     bp = boundary_point(INTEGRATOR, np.eye(2), BOX2, [1.0, 0.0], steps=100)
     assert np.allclose(bp.X_dB, [1.0, -1.0], atol=1e-13)
@@ -107,6 +71,31 @@ def test_boundary_point_scalar_analytic():
     # no switches, so the only error left is matrix-exponential round-off
     assert abs(bp.support_value - expected) <= 1e-12
     assert bp.steps == 2000
+
+
+def test_boundary_point_tie_break_lowest_index():
+    # d = e2 ties (-1, 1) with (1, 1); B = 0 ties every vertex
+    bp = boundary_point(INTEGRATOR, np.eye(2), BOX2, [0.0, 1.0], steps=100)
+    assert np.allclose(bp.X_dB, [-1.0, 1.0], atol=1e-13)
+    assert bp.switch_times == ((0.0, 2),)
+    bp = boundary_point(INTEGRATOR, np.zeros((2, 2)), BOX2, [0.0, 1.0], steps=100)
+    assert bp.switch_times == ((0.0, 0),)
+
+
+def test_boundary_point_single_step_exact_flow():
+    A = np.array([[-0.3, 1.0], [0.0, -0.6]])
+    sys_ = LinearSystem(A=A, X0=[1.0, -2.0], T=0.7, m=2)
+    B = np.array([[0.5, -1.0], [2.0, 0.3]])
+    d = np.array([0.6, 0.8])
+    bp = boundary_point(sys_, B, BOX2, d, steps=1)
+    # one step holds the vertex chosen at t = T/2, then flows exactly
+    p_mid = series_exp(A.T * 0.35) @ d
+    u = BOX2.vertices[int(np.argmax(BOX2.vertices @ (B.T @ p_mid)))]
+    aug = np.zeros((3, 3))
+    aug[:2, :2] = A * 0.7
+    aug[:2, 2] = (B @ u) * 0.7
+    flow = series_exp(aug)
+    assert np.max(np.abs(bp.X_dB - (flow[:2, :2] @ sys_.X0 + flow[:2, 2]))) <= 1e-13
 
 
 def test_boundary_point_zero_input_matrix():
@@ -151,7 +140,7 @@ def test_boundary_point_rejects_bad_arguments():
 
 
 def test_midpoint_costates_match_direct_exponentials():
-    # steps > 64 exercises the blocked scan, including the partial final block
+    # 130 = 10 * 12 + 10 steps leave a partial last block in the power tables
     rng = np.random.default_rng(29)
     A = rng.standard_normal((3, 3)) * 0.8
     T = 1.7
@@ -237,19 +226,6 @@ def test_boundary_sweep_integrator_symmetry():
     dirs = [np.array(v) for v in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])]
     for bp in boundary_sweep(INTEGRATOR, np.eye(2), BOX2, dirs, steps=50):
         assert abs(bp.support_value - 1.0) <= 1e-13
-
-
-def test_boundary_sweep_threaded_matches_sequential(monkeypatch):
-    sys_ = LinearSystem(A=[[0.0, 1.0], [-2.0, -0.8]], X0=[0.0, 0.0], T=2.0, m=2)
-    B = np.array([[0.0, 1.0], [1.0, 0.0]])
-    dirs = direction_fan(2, 16)
-    sequential = boundary_sweep(sys_, B, BOX2, dirs, steps=250)
-    monkeypatch.setenv("REACHWARP_THREADS", "3")
-    threaded = boundary_sweep(sys_, B, BOX2, dirs, steps=250)
-    for a, b in zip(sequential, threaded):
-        assert np.array_equal(a.X_dB, b.X_dB)
-        assert a.support_value == b.support_value
-        assert a.switch_times == b.switch_times
 
 
 def test_boundary_sweep_rejects_empty():
@@ -359,3 +335,77 @@ def test_series_oracle_sanity():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     expected = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
     assert np.max(np.abs(series_exp(A) - expected)) <= 1e-12
+
+
+def _naive_boundary_point(sys_, B, U, d, steps):
+    """Per-step reference: hold each step's vertex, apply the exact step map."""
+    E, Gam, _ = _step_matrices(sys_.A.tobytes(), sys_.n, sys_.T / steps)
+    P = _midpoint_costates(sys_.A.tobytes(), sys_.n, d.tobytes(), sys_.T, steps)
+    x = np.array(sys_.X0, dtype=float)
+    for k in range(steps):
+        u = U.vertices[int(np.argmax(U.vertices @ (B.T @ P[k])))]
+        x = E @ x + Gam @ (B @ u)
+    return x
+
+
+def test_boundary_point_matches_naive_step_loop():
+    b = 12
+    cases = [(3, steps) for steps in (1, 2, b * b - 1, b * b, b * b + 1)]
+    cases.append((32, 16000))
+    assert _power_block(b * b) == b and _power_block(b * b + 1) == b + 1
+    rng = np.random.default_rng(61)
+    for n, steps in cases:
+        A = rng.standard_normal((n, n))
+        T = 1.3
+        A *= 3.0 / (T * np.linalg.norm(A, 2))
+        sys_ = LinearSystem(A=A, X0=rng.standard_normal(n), T=T, m=2)
+        B = rng.standard_normal((n, 2))
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        got = boundary_point(sys_, B, BOX2, d, steps=steps).X_dB
+        ref = _naive_boundary_point(sys_, B, BOX2, d, steps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_growth_kernel_matches_boundary_projection(name):
+    problem = parse_config(fixture_config(name))
+    sys_, U, d = problem.system, problem.control, problem.direction
+    P, W = _costate_weights(sys_, d, problem.steps)
+    c0 = zero_input_endpoint(sys_)
+    for M in sample_ball(problem.ball, 20, seed=8):
+        G = _growth(P, W, M, U.vertices)
+        X = boundary_point(sys_, M, U, d, problem.steps).X_dB
+        assert abs(G - float(d @ (X - c0))) <= 1e-12 * (1.0 + abs(G))
+
+
+def test_verify_exponential_count_independent_of_samples(monkeypatch):
+    problem = parse_config(fixture_config("oscillator"))
+    calls = []
+
+    def counting_mat_exp(M):
+        calls.append(1)
+        return mat_exp(M)
+
+    monkeypatch.setattr(reach, "mat_exp", counting_mat_exp)
+    monkeypatch.setattr(warp, "mat_exp", counting_mat_exp)
+    counts = []
+    for k in (5, 60):
+        for fn in vars(reach).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        calls.clear()
+        verify_optimality(problem.system, problem.control, problem.ball,
+                          problem.direction, problem.sense, k=k, seed=3,
+                          steps=400)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_growth_kernel_overflow_raises_numeric_error():
+    sys_ = LinearSystem(A=[[50.0]], X0=[0.0], T=20.0, m=1)
+    d = np.array([1.0])
+    with pytest.raises(NumericError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _growth(*_costate_weights(sys_, d, 200), np.array([[1.0]]),
+                    BOX1.vertices)
