@@ -8,9 +8,9 @@ admissible Frobenius ball that extremizes that growth.
 
 from .errors import (ConfigError, DimensionError, DomainError, GeometryError,
                      NumericError, PreconditionError, ReachwarpError)
-from .linalg import SpectrumReport, eigvec_residual, mat_exp, spectrum
+from .linalg import SpectrumReport, eigvec_residual, mat_exp, spectrum, unit_direction
 from .model import (ControlPolytope, FrobeniusBall, LinearSystem, ball_argmax,
-                    ball_contains, box_polytope, unit_direction, vertex_polytope)
+                    ball_contains, box_polytope, vertex_polytope)
 from .reach import (BoundaryPoint, CostatePath, GrowthReport, boundary_point,
                     boundary_sweep, costate_path, direction_fan, growth_metric,
                     support_oracle, zero_input_endpoint)

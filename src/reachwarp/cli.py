@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 failed verification in the theorem regime,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -22,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ProblemConfig, _matrix_field, load_config
+from .config import ProblemConfig, _array, _read_json, load_config
 from .errors import ConfigError, NumericError, ReachwarpError
 from .fixtures import fixture_config, fixture_description, fixture_names
-from .model import FrobeniusBall
+from .linalg import as_matrix
 from .reach import boundary_sweep, direction_fan, growth_metric
-from .verify import verify_optimality
+from .verify import DEFAULT_SAMPLES, verify_optimality
 from .warp import REGIME_THEOREM, WarpResult, check_assumptions, optimize_B
 
 
@@ -35,25 +36,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as the lists and numbers json writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_json_default) + "\n", encoding="utf-8")
 
 
 def _warn(message: str) -> None:
@@ -61,13 +53,17 @@ def _warn(message: str) -> None:
 
 
 def _load_problem(args) -> ProblemConfig:
+    """The configured problem with the --steps, --seed and --directions
+    overrides the command was given applied."""
     if not args.config:
         raise ConfigError("--config is required for this command")
     problem = load_config(args.config)
     if not problem.control.contains_zero:
         _warn("control set does not contain the zero input; the growth metric "
               "may be negative even without optimization")
-    return problem
+    overrides = {key: getattr(args, key) for key in ("steps", "seed", "directions")
+                 if getattr(args, key, None) is not None}
+    return dataclasses.replace(problem, **overrides)
 
 
 def _regime_warning(report) -> None:
@@ -133,9 +129,9 @@ def _warp_payload(result: WarpResult, steps: int) -> dict:
     }
 
 
-def _run_optimize(problem: ProblemConfig, steps: int) -> WarpResult:
+def _run_optimize(problem: ProblemConfig) -> WarpResult:
     result = optimize_B(problem.system, problem.control, problem.ball,
-                        problem.direction, problem.sense, steps,
+                        problem.direction, problem.sense, problem.steps,
                         problem.tolerances.tol_spec, problem.tolerances.tol_ev)
     _regime_warning(result.report)
     return result
@@ -150,41 +146,30 @@ def _regime(problem: ProblemConfig, result: WarpResult | None) -> str:
                              problem.tolerances.tol_ev).regime
 
 
-def _resolve_B(args, problem: ProblemConfig, steps: int):
+def _resolve_B(args, problem: ProblemConfig):
     """Input matrix selected by --B: the ball center, the optimizer output,
-    or a matrix file; returns (B, tag, warp_result_or_None)."""
+    or a matrix file; returns (B, tag, warp_result_or_None).  The shape of
+    a file's matrix is checked where it is used."""
     choice = args.B
     if choice == "nominal":
         return problem.ball.center, "nominal", None
     if choice == "optimized":
-        result = _run_optimize(problem, steps)
+        result = _run_optimize(problem)
         return result.B_star, "optimized", result
-    path = Path(choice)
+    data = _read_json(choice, "matrix file")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"matrix file {path} is not valid JSON: {exc.msg} "
-                          f"(line {exc.lineno}, column {exc.colno})") from exc
-    try:
-        B = _matrix_field(data if isinstance(data, dict) else {"B": data}, "B")
+        B = _array(data if isinstance(data, dict) else {"B": data}, "B", as_matrix)
     except ConfigError as exc:
-        raise ConfigError(f"matrix file {path}: {exc}") from exc
-    expected = (problem.system.n, problem.system.m)
-    if B.shape != expected:
-        raise ConfigError(f"matrix file {path}: expected shape {expected}, got "
-                          f"{B.shape}")
+        raise ConfigError(f"matrix file {choice}: {exc}") from exc
     return B, "custom", None
 
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     problem = _load_problem(args)
-    steps = args.steps if args.steps is not None else problem.steps
     out = _out_dir(args)
-    result = _run_optimize(problem, steps)
-    _write_json(out / "warp_result.json", _warp_payload(result, steps))
+    result = _run_optimize(problem)
+    _write_json(out / "warp_result.json", _warp_payload(result, problem.steps))
     print(f"G_nominal = {_fmt(result.G_nominal)}")
     print(f"G_optimized = {_fmt(result.G_optimized)}")
     print(f"i_star = {result.i_star}")
@@ -196,19 +181,17 @@ def cmd_optimize(args) -> int:
 def cmd_boundary(args) -> int:
     started = time.perf_counter()
     problem = _load_problem(args)
-    steps = args.steps if args.steps is not None else problem.steps
-    count = args.directions if args.directions is not None else problem.directions
-    seed = args.seed if args.seed is not None else problem.seed
     out = _out_dir(args)
-    B, tag, result = _resolve_B(args, problem, steps)
-    fan = direction_fan(problem.system.n, count, seed)
-    points = boundary_sweep(problem.system, B, problem.control, fan, steps)
+    B, tag, result = _resolve_B(args, problem)
+    fan = direction_fan(problem.system.n, problem.directions, problem.seed)
+    points = boundary_sweep(problem.system, B, problem.control, fan, problem.steps)
     name = f"boundary_{tag}.csv"
     _write_boundary_csv(out / name, points)
-    extras = {"directions_total": len(fan), "steps": steps, "seed": seed}
+    extras = {"directions_total": len(fan), "steps": problem.steps,
+              "seed": problem.seed}
     if result is not None:
         nominal = boundary_sweep(problem.system, problem.ball.center,
-                                 problem.control, fan, steps)
+                                 problem.control, fan, problem.steps)
         grown = sum(1 for p, q in zip(points, nominal)
                     if p.support_value > q.support_value)
         extras["directions_grown"] = grown
@@ -232,11 +215,10 @@ def _write_boundary_csv(path: Path, points) -> None:
 def cmd_metric(args) -> int:
     started = time.perf_counter()
     problem = _load_problem(args)
-    steps = args.steps if args.steps is not None else problem.steps
     out = _out_dir(args)
-    B, tag, result = _resolve_B(args, problem, steps)
+    B, tag, result = _resolve_B(args, problem)
     report = growth_metric(problem.system, B, problem.control,
-                           problem.direction, steps)
+                           problem.direction, problem.steps)
     print(f"G_d = {_fmt(report.G_d)}")
     payload = {
         "G_d": report.G_d,
@@ -245,7 +227,7 @@ def cmd_metric(args) -> int:
         "X_dB": report.X_dB,
         "B": report.B,
         "B_source": tag,
-        "steps": steps,
+        "steps": problem.steps,
     }
     _write_json(out / "metric.json", payload)
     _manifest(out, "metric", problem, _regime(problem, result), started,
@@ -256,19 +238,17 @@ def cmd_metric(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     problem = _load_problem(args)
-    steps = args.steps if args.steps is not None else problem.steps
-    seed = args.seed if args.seed is not None else problem.seed
-    samples = args.samples
     out = _out_dir(args)
-    result = _run_optimize(problem, steps)
+    result = _run_optimize(problem)
     verdict = verify_optimality(problem.system, problem.control, problem.ball,
-                                problem.direction, problem.sense, samples, seed,
-                                steps, problem.tolerances.tol_verify, result)
+                                problem.direction, problem.sense, args.samples,
+                                problem.seed, problem.steps,
+                                problem.tolerances.tol_verify, result)
     required = result.report.regime == REGIME_THEOREM
     payload = {
         "samples": verdict.samples,
-        "seed": seed,
-        "steps": steps,
+        "seed": problem.seed,
+        "steps": problem.steps,
         "sense": problem.sense,
         "regime": result.report.regime,
         "G_star": verdict.G_star,
@@ -339,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="sampled optimality check")
     add_common(p_ver)
-    p_ver.add_argument("--samples", type=int, default=1000,
-                       help="number of sampled matrices (default 1000)")
+    p_ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                       help=f"number of sampled matrices (default {DEFAULT_SAMPLES})")
     p_ver.add_argument("--seed", type=int, help="seed for ball sampling")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -1,27 +1,31 @@
 """JSON problem configuration: schema validation and object construction.
 
 The schema is flat and explicit; every validation error names the
-offending field so CLI users get actionable diagnostics.  Directions are
-renormalized silently when within 1e-6 of unit norm and rejected
-otherwise.
+offending field so CLI users get actionable diagnostics.  Shapes, ranges
+and finiteness of arrays are checked by the linalg, model and reach
+functions that build the problem, and their errors are re-raised here as
+ConfigError naming the field.  Directions are renormalized silently when
+within 1e-6 of unit norm and rejected otherwise.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ReachwarpError
-from .model import (ControlPolytope, FrobeniusBall, LinearSystem, box_polytope,
-                    vertex_polytope)
+from .errors import ConfigError, DimensionError, DomainError, ReachwarpError
+from .linalg import DEFAULT_IMAG_TOL, _direction_in, as_square, as_vector
+from .model import (ControlPolytope, FrobeniusBall, LinearSystem, _check_sense,
+                    box_polytope, vertex_polytope)
+from .reach import DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args
+from .verify import DEFAULT_VERIFY_TOL
+from .warp import DEFAULT_EIGVEC_TOL
 
 DIRECTION_LOAD_TOL = 1e-6
-
-DEFAULT_SEED = 42
-
-_TOLERANCE_DEFAULTS = {"tol_spec": 1e-9, "tol_ev": 1e-8, "tol_verify": 1e-6}
 
 _TOP_LEVEL_KEYS = {"A", "X0", "T", "control", "admissible", "direction", "sense",
                    "steps", "directions", "seed", "tolerances"}
@@ -29,9 +33,9 @@ _TOP_LEVEL_KEYS = {"A", "X0", "T", "control", "admissible", "direction", "sense"
 
 @dataclass(frozen=True)
 class Tolerances:
-    tol_spec: float = 1e-9
-    tol_ev: float = 1e-8
-    tol_verify: float = 1e-6
+    tol_spec: float = DEFAULT_IMAG_TOL
+    tol_ev: float = DEFAULT_EIGVEC_TOL
+    tol_verify: float = DEFAULT_VERIFY_TOL
 
 
 @dataclass(frozen=True)
@@ -54,176 +58,132 @@ class ProblemConfig:
     echo: dict
 
 
-def _matrix_field(data: dict, key: str) -> np.ndarray:
-    if key not in data:
-        raise ConfigError(f"missing field '{key}'")
+@contextmanager
+def _field(key: str, errors=ReachwarpError):
+    """Re-raise the given validation errors of the block as ConfigError naming key."""
     try:
-        arr = np.array(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{key}': not a numeric matrix ({exc})") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"field '{key}': expected a matrix (list of rows), got "
-                          f"shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"field '{key}': non-finite entries")
-    return arr
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(f"field '{key}': {exc}") from exc
 
 
-def _vector_field(data: dict, key: str) -> np.ndarray:
-    if key not in data:
+def _value(data: dict, key: str, default=None):
+    if key in data:
+        return data[key]
+    if default is None:
         raise ConfigError(f"missing field '{key}'")
-    try:
-        arr = np.array(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{key}': not a numeric vector ({exc})") from exc
-    if arr.ndim != 1:
-        raise ConfigError(f"field '{key}': expected a flat list of numbers, got "
-                          f"shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"field '{key}': non-finite entries")
-    return arr
+    return default
 
 
-def _scalar_field(data: dict, key: str, default=None):
-    if key not in data:
-        if default is None:
-            raise ConfigError(f"missing field '{key}'")
-        return default
-    value = data[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"field '{key}': expected a number, got {value!r}")
+def _object(value, where: str, allowed) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    extra = set(value) - set(allowed)
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
     return value
 
 
-def _int_field(data: dict, key: str, default: int | None, minimum: int) -> int:
-    value = _scalar_field(data, key, default)
-    if int(value) != value:
-        raise ConfigError(f"field '{key}': expected an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
+def _array(data: dict, key: str, check) -> np.ndarray:
+    """Field key validated by one of the linalg as_* functions."""
+    with _field(key):
+        return check(_value(data, key), key)
+
+
+def _number(data: dict, key: str, default=None, minimum=None):
+    """A finite JSON number, at least minimum when one is given."""
+    value = _value(data, key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ConfigError(f"field '{key}': expected a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
         raise ConfigError(f"field '{key}': must be at least {minimum}, got {value}")
     return value
 
 
+def _int_field(data: dict, key: str, default: int | None, minimum: int) -> int:
+    value = _number(data, key, default, minimum)
+    if int(value) != value:
+        raise ConfigError(f"field '{key}': expected an integer, got {value!r}")
+    return int(value)
+
+
 def _control_polytope(data: dict) -> ControlPolytope:
-    if "control" not in data:
-        raise ConfigError("missing field 'control'")
-    spec = data["control"]
-    if not isinstance(spec, dict):
-        raise ConfigError("field 'control': expected an object")
-    kind = spec.get("type")
-    try:
+    spec = _value(data, "control")
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind not in ("box", "vertices"):
+        raise ConfigError(f"field 'control.type': expected 'box' or 'vertices', "
+                          f"got {kind!r}")
+    keys = ("lo", "hi") if kind == "box" else ("list",)
+    _object(spec, "field 'control'", ("type",) + keys)
+    with _field("control"):
         if kind == "box":
-            extra = set(spec) - {"type", "lo", "hi"}
-            if extra:
-                raise ConfigError(f"field 'control': unknown keys {sorted(extra)}")
-            return box_polytope(_vector_field(spec, "lo"), _vector_field(spec, "hi"))
-        if kind == "vertices":
-            extra = set(spec) - {"type", "list"}
-            if extra:
-                raise ConfigError(f"field 'control': unknown keys {sorted(extra)}")
-            return vertex_polytope(_matrix_field(spec, "list"))
-    except ConfigError:
-        raise
-    except ReachwarpError as exc:
-        raise ConfigError(f"field 'control': {exc}") from exc
-    raise ConfigError(f"field 'control.type': expected 'box' or 'vertices', "
-                      f"got {kind!r}")
+            return box_polytope(_value(spec, "lo"), _value(spec, "hi"))
+        return vertex_polytope(_value(spec, "list"))
 
 
 def _frobenius_ball(data: dict) -> FrobeniusBall:
-    if "admissible" not in data:
-        raise ConfigError("missing field 'admissible'")
-    spec = data["admissible"]
-    if not isinstance(spec, dict):
-        raise ConfigError("field 'admissible': expected an object")
+    spec = _object(_value(data, "admissible"), "field 'admissible'",
+                   ("type", "center", "radius"))
     if spec.get("type") != "frobenius_ball":
         raise ConfigError(f"field 'admissible.type': expected 'frobenius_ball', "
                           f"got {spec.get('type')!r}")
-    extra = set(spec) - {"type", "center", "radius"}
-    if extra:
-        raise ConfigError(f"field 'admissible': unknown keys {sorted(extra)}")
-    center = _matrix_field(spec, "center")
-    radius = _scalar_field(spec, "radius")
-    if radius < 0:
-        raise ConfigError(f"field 'admissible.radius': must be nonnegative, "
-                          f"got {radius}")
-    try:
-        return FrobeniusBall(center=center, radius=float(radius))
-    except ReachwarpError as exc:
-        raise ConfigError(f"field 'admissible': {exc}") from exc
+    with _field("admissible"):
+        return FrobeniusBall(center=_value(spec, "center"),
+                             radius=_number(spec, "radius"))
 
 
 def parse_config(data: dict) -> ProblemConfig:
     """Validate a decoded JSON document and build the problem objects."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level fields {sorted(unknown)}")
-    A = _matrix_field(data, "A")
-    if A.shape[0] != A.shape[1]:
-        raise ConfigError(f"field 'A': must be square, got shape {A.shape}")
-    n = A.shape[0]
-    X0 = _vector_field(data, "X0")
-    if X0.shape[0] != n:
-        raise ConfigError(f"field 'X0': length {X0.shape[0]} does not match the "
-                          f"state dimension {n}")
-    T = _scalar_field(data, "T")
-    if T <= 0:
-        raise ConfigError(f"field 'T': must be positive, got {T}")
+    _object(data, "configuration root", _TOP_LEVEL_KEYS)
+    A = _array(data, "A", as_square)
+    X0 = _array(data, "X0", as_vector)
+    T = _number(data, "T")
     control = _control_polytope(data)
     ball = _frobenius_ball(data)
-    if ball.center.shape != (n, control.m):
-        raise ConfigError(f"field 'admissible.center': shape {ball.center.shape} "
-                          f"does not match (n, m) = ({n}, {control.m})")
-    direction = _vector_field(data, "direction")
-    if direction.shape[0] != n:
-        raise ConfigError(f"field 'direction': length {direction.shape[0]} does "
-                          f"not match the state dimension {n}")
+    # A is square and m >= 1 by now, so LinearSystem can only reject the
+    # length of X0 (DimensionError) or the value of T (DomainError)
+    with _field("X0", DimensionError), _field("T", DomainError):
+        system = LinearSystem(A=A, X0=X0, T=T, m=control.m)
+    direction = _array(data, "direction", as_vector)
     nrm = float(np.linalg.norm(direction))
     if abs(nrm - 1.0) > DIRECTION_LOAD_TOL:
         raise ConfigError(f"field 'direction': norm {nrm} is off unit by more "
                           f"than {DIRECTION_LOAD_TOL}")
-    direction = direction / nrm
-    direction.setflags(write=False)
-    sense = data.get("sense", "grow")
-    if sense not in ("grow", "shrink"):
-        raise ConfigError(f"field 'sense': expected 'grow' or 'shrink', got {sense!r}")
-    steps = _int_field(data, "steps", 2000, 1)
-    directions = _int_field(data, "directions", 64 if n <= 2 else 400, 1)
+    with _field("direction"):
+        direction = _direction_in(direction / nrm, system.n)
+    with _field("admissible.center"):
+        _check_reach_args(system, ball.center, control, direction)
+    with _field("sense"):
+        sense = _check_sense(data.get("sense", "grow"))
+    steps = _int_field(data, "steps", DEFAULT_STEPS, 1)
+    directions = _int_field(data, "directions", 64 if system.n <= 2 else 400, 1)
     seed = _int_field(data, "seed", DEFAULT_SEED, 0)
-    tol_spec = data.get("tolerances", {})
-    if not isinstance(tol_spec, dict):
-        raise ConfigError("field 'tolerances': expected an object")
-    extra = set(tol_spec) - set(_TOLERANCE_DEFAULTS)
-    if extra:
-        raise ConfigError(f"field 'tolerances': unknown keys {sorted(extra)}")
-    tol_values = {}
-    for key, default in _TOLERANCE_DEFAULTS.items():
-        value = _scalar_field(tol_spec, key, default)
-        if value < 0:
-            raise ConfigError(f"field 'tolerances.{key}': must be nonnegative, "
-                              f"got {value}")
-        tol_values[key] = float(value)
-    try:
-        system = LinearSystem(A=A, X0=X0, T=float(T), m=control.m)
-    except ReachwarpError as exc:
-        raise ConfigError(str(exc)) from exc
+    tol_doc = _object(data.get("tolerances", {}), "field 'tolerances'",
+                      [f.name for f in fields(Tolerances)])
+    tolerances = Tolerances(**{f.name: float(_number(tol_doc, f.name, f.default, 0))
+                               for f in fields(Tolerances)})
     return ProblemConfig(system=system, control=control, ball=ball,
                          direction=direction, sense=sense, steps=steps,
                          directions=directions, seed=seed,
-                         tolerances=Tolerances(**tol_values), echo=data)
+                         tolerances=tolerances, echo=data)
+
+
+def _read_json(path, what: str):
+    """Decoded JSON document at path; read and decoding errors report the
+    file, and decoding errors also the line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg} "
+                          f"(line {exc.lineno}, column {exc.colno})") from exc
 
 
 def load_config(path) -> ProblemConfig:
     """Parse a JSON problem file; decoding errors report line and column."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg} "
-                          f"(line {exc.lineno}, column {exc.colno})") from exc
-    return parse_config(data)
+    return parse_config(_read_json(path, "config file"))

@@ -5,7 +5,7 @@ robustness wins over asymptotic speed: the matrix exponential uses
 scaling-and-squaring with a degree-13 Pade approximant (scipy) and
 eigenvalues come from the LAPACK QR iteration on Hessenberg form (numpy).
 All entry points validate shapes and finiteness and return read-only
-arrays so results can be shared freely between threads.
+arrays.
 """
 
 from __future__ import annotations
@@ -22,16 +22,24 @@ DEFAULT_IMAG_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate a 2-D array-like with finite entries; return a read-only copy."""
-    arr = np.array(M, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionError(f"{name} must be a 2-D array with at least one row "
-                             f"and one column, got shape {arr.shape}")
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"{name} must be a rectangular array of numbers "
+                             f"({exc})") from exc
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise DimensionError(f"{name} must be a non-empty {ndim}-D array, got "
+                             f"shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} has non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Validate a 2-D array-like with finite entries; return a read-only copy."""
+    return _as_array(M, name, 2)
 
 
 def as_square(M, name: str = "matrix") -> np.ndarray:
@@ -43,14 +51,25 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate a 1-D array-like with finite entries; return a read-only copy."""
-    arr = np.array(v, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise DimensionError(f"{name} must be a 1-D array with at least one "
-                             f"entry, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} has non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    return _as_array(v, name, 1)
+
+
+def unit_direction(d, name: str = "direction") -> np.ndarray:
+    """Validate that d is a unit vector (within 1e-12); return a read-only copy."""
+    v = as_vector(d, name)
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        raise PreconditionError(f"{name} must have unit norm, got {nrm!r}")
+    return v
+
+
+def _direction_in(d, n: int) -> np.ndarray:
+    """Validate d as a unit direction in R^n; return a read-only copy."""
+    v = unit_direction(d)
+    if v.shape[0] != n:
+        raise DimensionError(f"direction has length {v.shape[0]} but the state "
+                             f"dimension is {n}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -100,13 +119,7 @@ def eigvec_residual(M, d) -> tuple[float, float]:
     the caller decides what residual magnitude counts as "close enough".
     """
     A = as_square(M, "eigvec_residual matrix")
-    v = as_vector(d, "eigvec_residual direction")
-    if v.shape[0] != A.shape[0]:
-        raise DimensionError(f"direction has length {v.shape[0]} but the matrix "
-                             f"is {A.shape[0]}x{A.shape[0]}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise PreconditionError(f"direction must have unit norm, got {nrm!r}")
+    v = _direction_in(d, A.shape[0])
     mu = float(v @ A @ v)
     residual = float(np.linalg.norm(A @ v - mu * v))
     return mu, residual

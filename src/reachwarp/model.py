@@ -1,7 +1,6 @@
 """Problem data: linear dynamics, control polytopes, admissible matrix balls.
 
-All containers are frozen dataclasses holding read-only arrays, so a single
-problem instance can be shared between worker threads without copying.
+All containers are frozen dataclasses holding read-only arrays.
 """
 
 from __future__ import annotations
@@ -11,21 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DimensionError, DomainError, GeometryError, NumericError, PreconditionError
+from .errors import DimensionError, DomainError, GeometryError, NumericError
 from .linalg import as_matrix, as_square, as_vector
-
-DIRECTION_NORM_TOL = 1e-12
 
 BALL_CONTAINS_TOL = 1e-12
 
 
-def unit_direction(d, name: str = "direction") -> np.ndarray:
-    """Validate that d is a unit vector (within 1e-12); return a read-only copy."""
-    v = as_vector(d, name)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > DIRECTION_NORM_TOL:
-        raise PreconditionError(f"{name} must have unit norm, got {nrm!r}")
-    return v
+def _check_sense(sense: str) -> str:
+    if sense not in ("grow", "shrink"):
+        raise DomainError(f"sense must be 'grow' or 'shrink', got {sense!r}")
+    return sense
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,7 @@ def ball_argmax(ball: FrobeniusBall, W, sense: str = "grow") -> np.ndarray:
     if Wm.shape != ball.center.shape:
         raise DimensionError(f"gradient has shape {Wm.shape} but the ball is over "
                              f"{ball.center.shape} matrices")
-    if sense not in ("grow", "shrink"):
-        raise DomainError(f"sense must be 'grow' or 'shrink', got {sense!r}")
+    _check_sense(sense)
     nrm = float(np.linalg.norm(Wm))
     if nrm == 0.0:
         out = ball.center.copy()

@@ -39,10 +39,12 @@ from math import isqrt
 import numpy as np
 
 from .errors import DimensionError, DomainError, GeometryError, NumericError
-from .linalg import as_matrix, mat_exp
-from .model import ControlPolytope, LinearSystem, unit_direction
+from .linalg import _direction_in, as_matrix, mat_exp, unit_direction
+from .model import ControlPolytope, LinearSystem
 
 DEFAULT_STEPS = 2000
+
+DEFAULT_SEED = 42
 
 DEFAULT_QUAD_NODES = 4000
 
@@ -67,11 +69,7 @@ class CostatePath:
 
 def costate_path(sys: LinearSystem, d) -> CostatePath:
     """Adjoint path for the system with terminal direction d (unit norm)."""
-    dv = unit_direction(d)
-    if dv.shape[0] != sys.n:
-        raise DimensionError(f"direction has length {dv.shape[0]} but the state "
-                             f"dimension is {sys.n}")
-    return CostatePath(A=sys.A, T=sys.T, d=dv)
+    return CostatePath(A=sys.A, T=sys.T, d=_direction_in(d, sys.n))
 
 
 @dataclass(frozen=True)
@@ -225,18 +223,17 @@ def _costate_weights(sys: LinearSystem, d: np.ndarray, steps: int):
 
 
 def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, d) -> tuple[np.ndarray, np.ndarray]:
+    """Check B (or a ball center) is an (n, m) matrix, U has the system's
+    input dimension and d is a unit vector of length n; return B and d as
+    read-only arrays."""
     Bm = as_matrix(B, "B")
     if Bm.shape != (sys.n, sys.m):
-        raise DimensionError(f"B has shape {Bm.shape} but the system expects "
+        raise DimensionError(f"input matrix has shape {Bm.shape}, expected shape "
                              f"({sys.n}, {sys.m})")
     if U.m != sys.m:
         raise DimensionError(f"control set has dimension {U.m} but the system "
                              f"expects {sys.m}")
-    dv = unit_direction(d)
-    if dv.shape[0] != sys.n:
-        raise DimensionError(f"direction has length {dv.shape[0]} but the state "
-                             f"dimension is {sys.n}")
-    return Bm, dv
+    return Bm, _direction_in(d, sys.n)
 
 
 def _check_steps(steps: int) -> int:
@@ -315,7 +312,7 @@ def boundary_sweep(sys: LinearSystem, B, U: ControlPolytope, directions,
     return [boundary_point(sys, B, U, dd, steps) for dd in dirs]
 
 
-def direction_fan(n: int, M: int, seed: int = 42) -> list[np.ndarray]:
+def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """M unit directions in R^n, deterministic for given (n, M, seed).
 
     n = 2 uses equally spaced angles starting at 0; n = 3 uses a Fibonacci

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import ControlPolytope, FrobeniusBall, LinearSystem
-from .reach import (DEFAULT_STEPS, _check_reach_args, _costate_weights, _growth,
-                    growth_metric)
+from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense
+from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _costate_weights,
+                    _growth, growth_metric)
 from .warp import WarpResult, optimize_B
 
 DEFAULT_SAMPLES = 1000
@@ -41,7 +41,7 @@ class SampleVerdict:
     tol_verify: float
 
 
-def sample_ball(ball: FrobeniusBall, k: int, seed: int = 42) -> list[np.ndarray]:
+def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """k matrices drawn uniformly from the Frobenius ball, deterministically.
 
     Each draw is a Gaussian direction scaled to radius * U^(1/dim) with
@@ -68,7 +68,8 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = 42) -> list[np.ndarray]
 
 
 def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall, d,
-                      sense: str = "grow", k: int = DEFAULT_SAMPLES, seed: int = 42,
+                      sense: str = "grow", k: int = DEFAULT_SAMPLES,
+                      seed: int = DEFAULT_SEED,
                       steps: int = DEFAULT_STEPS,
                       tol_verify: float = DEFAULT_VERIFY_TOL,
                       result: WarpResult | None = None) -> SampleVerdict:
@@ -82,6 +83,7 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     with the first sample winning ties, so the outcome does not depend on
     evaluation order.
     """
+    _check_sense(sense)
     if tol_verify < 0.0:
         raise DomainError(f"tol_verify must be nonnegative, got {tol_verify}")
     if result is None:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .linalg import DEFAULT_IMAG_TOL, SpectrumReport, eigvec_residual, mat_exp, spectrum
-from .model import ControlPolytope, FrobeniusBall, LinearSystem, ball_argmax, unit_direction
-from .reach import DEFAULT_STEPS, growth_metric
+from .linalg import DEFAULT_IMAG_TOL, SpectrumReport, eigvec_residual, spectrum
+from .linalg import mat_exp  # noqa: F401 - bench/test_bench.py reads warp.mat_exp
+from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, ball_argmax
+from .reach import DEFAULT_STEPS, _check_reach_args, costate_path, growth_metric
 
 DEFAULT_EIGVEC_TOL = 1e-8
 
@@ -79,22 +79,14 @@ class WarpResult:
 
 def initial_costate(sys: LinearSystem, d) -> np.ndarray:
     """Initial adjoint value P0 = P(0) = e^{A^T T} d."""
-    dv = unit_direction(d)
-    if dv.shape[0] != sys.n:
-        raise DimensionError(f"direction has length {dv.shape[0]} but the state "
-                             f"dimension is {sys.n}")
-    return mat_exp(sys.A.T * sys.T) @ dv
+    return costate_path(sys, d).at(0.0)
 
 
 def check_assumptions(sys: LinearSystem, d, tol_spec: float = DEFAULT_IMAG_TOL,
                       tol_ev: float = DEFAULT_EIGVEC_TOL) -> AssumptionReport:
     """Classify (A, d) into the theorem regime or one of the heuristic regimes."""
-    dv = unit_direction(d)
-    if dv.shape[0] != sys.n:
-        raise DimensionError(f"direction has length {dv.shape[0]} but the state "
-                             f"dimension is {sys.n}")
+    mu, residual = eigvec_residual(sys.A.T, d)
     spec = spectrum(sys.A, tol_spec)
-    mu, residual = eigvec_residual(sys.A.T, dv)
     a1 = spec.all_real
     a2 = bool(residual <= tol_ev)
     if a1 and a2:
@@ -123,15 +115,8 @@ def optimize_B(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall, d,
     returned result always carries the assumption report; callers decide
     how loudly to warn outside the theorem regime.
     """
-    dv = unit_direction(d)
-    if ball.center.shape != (sys.n, sys.m):
-        raise DimensionError(f"ball center has shape {ball.center.shape} but the "
-                             f"system expects ({sys.n}, {sys.m})")
-    if U.m != sys.m:
-        raise DimensionError(f"control set has dimension {U.m} but the system "
-                             f"expects {sys.m}")
-    if sense not in ("grow", "shrink"):
-        raise DomainError(f"sense must be 'grow' or 'shrink', got {sense!r}")
+    _, dv = _check_reach_args(sys, ball.center, U, d)
+    _check_sense(sense)
     P0 = initial_costate(sys, dv)
     candidates = []
     for i in range(U.num_vertices):

@@ -291,3 +291,20 @@ def test_module_entry_point_exit_codes():
                              "--config", "does_not_exist.json"],
                             capture_output=True, text=True)
     assert failed.returncode == 2
+
+
+@pytest.mark.parametrize("field, override", [
+    ("steps", {"steps": float("nan")}),
+    ("steps", {"steps": float("inf")}),
+    ("seed", {"seed": float("-inf")}),
+    ("tol_spec", {"tolerances": {"tol_spec": float("nan")}}),
+    ("tol_verify", {"tolerances": {"tol_verify": float("nan")}}),
+], ids=("steps-nan", "steps-inf", "seed--inf", "tol_spec-nan", "tol_verify-nan"))
+def test_non_finite_config_numbers_exit_two(run_cli, fixture_file, tmp_path,
+                                            field, override):
+    cfg = fixture_file("diag3_theorem", **override)
+    code, out, err = run_cli("verify", "--config", cfg, "--samples", "20",
+                             "--out", tmp_path / "v")
+    assert code == 2
+    assert f"'{field}'" in err
+    assert out == ""

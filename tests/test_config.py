@@ -147,3 +147,32 @@ def test_load_config_round_trips_fixture(tmp_path):
     assert cfg.sense == "grow"
     assert cfg.directions == 64
     assert np.array_equal(cfg.system.A, np.array(doc["A"]))
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def _with_number(key: str, value) -> dict:
+    cfg = minimal_config(tolerances={})
+    if key == "radius":
+        cfg["admissible"]["radius"] = value
+    elif key.startswith("tol_"):
+        cfg["tolerances"][key] = value
+    else:
+        cfg[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=("nan", "inf", "-inf"))
+@pytest.mark.parametrize("key", ("steps", "directions", "seed", "T", "radius",
+                                 "tol_spec", "tol_ev", "tol_verify"))
+def test_non_finite_numbers_are_named(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config(_with_number(key, value))
+
+
+def test_load_config_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"A": [[1.0]], "note": "\xff"}')
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(path)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from reachwarp import (DimensionError, DomainError, PreconditionError,
-                       eigvec_residual, mat_exp, spectrum)
+from reachwarp import (DimensionError, DomainError, LinearSystem, PreconditionError,
+                       boundary_point, box_polytope, eigvec_residual, mat_exp,
+                       spectrum)
 from reachwarp.linalg import as_matrix, as_square, as_vector
 
 from conftest import quadratic_roots, series_exp
@@ -40,6 +41,19 @@ def test_as_vector_validates():
         as_vector([[1.0], [2.0]])
     with pytest.raises(DomainError):
         as_vector([np.inf])
+
+
+def test_ragged_input_raises_dimension_error():
+    with pytest.raises(DimensionError):
+        as_matrix([[1.0, 2.0], [3.0]])
+    with pytest.raises(DimensionError):
+        as_vector([1.0, [2.0]])
+    with pytest.raises(DimensionError):
+        LinearSystem(A=[[1.0, 2.0], [3.0]], X0=[0.0, 0.0], T=1.0, m=1)
+    sys_ = LinearSystem(A=[[-1.0, 0.0], [0.0, -2.0]], X0=[0.0, 0.0], T=1.0, m=2)
+    with pytest.raises(DimensionError):
+        boundary_point(sys_, [[1.0, 2.0], [3.0]], box_polytope([-1.0, -1.0], [1.0, 1.0]),
+                       [1.0, 0.0], steps=10)
 
 
 def test_mat_exp_zero_is_identity():

@@ -121,3 +121,10 @@ def test_verify_rejects_negative_tolerance():
     with pytest.raises(DomainError):
         verify_optimality(SCALAR_SYS, SCALAR_BOX, SCALAR_BALL, [1.0],
                           sense="grow", k=10, tol_verify=-1.0)
+
+
+def test_verify_rejects_bad_sense_with_precomputed_result():
+    grow = optimize_B(SCALAR_SYS, SCALAR_BOX, SCALAR_BALL, [1.0], sense="grow")
+    with pytest.raises(DomainError):
+        verify_optimality(SCALAR_SYS, SCALAR_BOX, SCALAR_BALL, [1.0],
+                          sense="both", k=10, result=grow)
