@@ -5,7 +5,9 @@ robustness wins over asymptotic speed: the matrix exponential uses
 scaling-and-squaring with a degree-13 Pade approximant (scipy) and
 eigenvalues come from the LAPACK QR iteration on Hessenberg form (numpy).
 All entry points validate shapes and finiteness and return read-only
-arrays.
+arrays.  Products this small never repay a hand-off to a second BLAS
+thread, so importing the package sets OPENBLAS_NUM_THREADS to 1 unless the
+caller has set it.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def mat_exp(M) -> np.ndarray:
 def spectrum(M, tol_spec: float = DEFAULT_IMAG_TOL) -> SpectrumReport:
     """Eigenvalues of M with an all-real flag at imaginary-part tolerance tol_spec."""
     A = as_square(M, "spectrum argument")
-    if tol_spec < 0:
+    if not tol_spec >= 0:
         raise DomainError(f"tol_spec must be nonnegative, got {tol_spec}")
     try:
         eig = np.linalg.eigvals(np.asarray(A))

@@ -16,6 +16,14 @@ from .linalg import as_matrix, as_square, as_vector
 BALL_CONTAINS_TOL = 1e-12
 
 
+def _as_number(kind, value, fallback):
+    """kind(value), or fallback when value is not a number of that kind."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return fallback
+
+
 def _check_sense(sense: str) -> str:
     if sense not in ("grow", "shrink"):
         raise DomainError(f"sense must be 'grow' or 'shrink', got {sense!r}")
@@ -42,10 +50,10 @@ class LinearSystem:
         if X0.shape[0] != A.shape[0]:
             raise DimensionError(f"X0 has length {X0.shape[0]} but A is "
                                  f"{A.shape[0]}x{A.shape[0]}")
-        T = float(self.T)
+        T = _as_number(float, self.T, np.nan)
         if not np.isfinite(T) or T <= 0.0:
             raise DomainError(f"T must be a positive finite number, got {self.T!r}")
-        m = int(self.m)
+        m = _as_number(int, self.m, 0)
         if m < 1:
             raise DimensionError(f"input dimension m must be at least 1, got {self.m!r}")
         object.__setattr__(self, "A", A)
@@ -73,11 +81,16 @@ class ControlPolytope:
     contains_zero: bool
 
     def __post_init__(self):
-        raw = np.asarray(self.vertices, dtype=float)
-        if raw.size == 0:
-            raise GeometryError("vertex list must not be empty")
-        V = as_matrix(self.vertices, "vertices")
-        m = int(self.m)
+        try:
+            V = as_matrix(self.vertices, "vertices")
+        except DimensionError as exc:
+            # as_matrix chains a cause only when the vertices are not a
+            # rectangular array of numbers; an array that converted but holds
+            # no entries is an empty set, not a shape fault
+            if exc.__cause__ is None and np.size(self.vertices) == 0:
+                raise GeometryError("vertex list must not be empty") from None
+            raise
+        m = _as_number(int, self.m, 0)
         if m < 1:
             raise DimensionError(f"input dimension m must be at least 1, got {self.m!r}")
         if V.shape[1] != m:
@@ -163,7 +176,7 @@ class FrobeniusBall:
 
     def __post_init__(self):
         center = as_matrix(self.center, "ball center")
-        radius = float(self.radius)
+        radius = _as_number(float, self.radius, np.nan)
         if not np.isfinite(radius) or radius < 0.0:
             raise GeometryError(f"ball radius must be a nonnegative finite number, "
                                 f"got {self.radius!r}")

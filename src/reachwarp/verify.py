@@ -84,7 +84,7 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     evaluation order.
     """
     _check_sense(sense)
-    if tol_verify < 0.0:
+    if not tol_verify >= 0.0:
         raise DomainError(f"tol_verify must be nonnegative, got {tol_verify}")
     if result is None:
         result = optimize_B(sys, U, ball, d, sense, steps)

@@ -2,14 +2,18 @@
 
 The direction, input-matrix and control-dimension checks live in one place
 each; this pins that every entry point still reaches them, with the same
-exception class.
+exception class.  Malformed arguments (a NaN tolerance, a string where a
+number belongs, a ragged vertex list) raise the package's own errors, never
+numpy's or Python's ValueError.
 """
 
+import numpy as np
 import pytest
 
-from reachwarp import (DimensionError, FrobeniusBall, LinearSystem, PreconditionError,
-                       boundary_point, box_polytope, check_assumptions, costate_path,
-                       growth_metric, initial_costate, optimize_B, support_oracle,
+from reachwarp import (ControlPolytope, DimensionError, DomainError, FrobeniusBall,
+                       GeometryError, LinearSystem, PreconditionError, boundary_point,
+                       box_polytope, check_assumptions, costate_path, growth_metric,
+                       initial_costate, optimize_B, spectrum, support_oracle,
                        verify_optimality)
 
 SYS = LinearSystem(A=[[-1.0, 0.0], [0.0, -2.0]], X0=[0.0, 0.0], T=1.0, m=1)
@@ -57,3 +61,38 @@ def test_entry_point_rejects_bad_problem_input(entry, bad):
     override, _, error = BAD_INPUTS[bad]
     with pytest.raises(error):
         call(**{**GOOD, **override})
+
+
+NAN = float("nan")
+
+# malformed argument -> (call, exception expected, text the message must name)
+ARGUMENT_CASES = {
+    "spectrum-tol_spec-nan": (lambda: spectrum(np.diag([-1.0, -2.0]), NAN),
+                              DomainError, "tol_spec"),
+    "check_assumptions-tol_spec-nan": (
+        lambda: check_assumptions(SYS, GOOD["d"], tol_spec=NAN), DomainError, "tol_spec"),
+    "check_assumptions-tol_ev-nan": (
+        lambda: check_assumptions(SYS, GOOD["d"], tol_ev=NAN), DomainError, "tol_ev"),
+    "optimize_B-tol_ev-nan": (
+        lambda: optimize_B(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], steps=20,
+                           tol_ev=NAN), DomainError, "tol_ev"),
+    "verify_optimality-tol_verify-nan": (
+        lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
+                                  steps=20, tol_verify=NAN), DomainError, "tol_verify"),
+    "ControlPolytope-ragged-vertices": (
+        lambda: ControlPolytope(m=2, vertices=[[1, 2], [3]], contains_zero=False),
+        DimensionError, "vertices"),
+    "LinearSystem-T-string": (
+        lambda: LinearSystem(A=SYS.A, X0=SYS.X0, T="x", m=1), DomainError, "T must"),
+    "LinearSystem-m-string": (
+        lambda: LinearSystem(A=SYS.A, X0=SYS.X0, T=1.0, m="x"), DimensionError, "m must"),
+    "FrobeniusBall-radius-string": (
+        lambda: FrobeniusBall(center=GOOD["B"], radius="x"), GeometryError, "radius"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CASES)
+def test_malformed_argument_raises_package_error(case):
+    call, error, named = ARGUMENT_CASES[case]
+    with pytest.raises(error, match=named):
+        call()
