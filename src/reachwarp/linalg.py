@@ -13,6 +13,7 @@ caller has set it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.linalg
@@ -22,6 +23,14 @@ from .errors import DimensionError, DomainError, NumericError, PreconditionError
 DEFAULT_IMAG_TOL = 1e-9
 
 UNIT_NORM_TOL = 1e-12
+
+
+def _tolerance(value, name: str) -> float:
+    """value as a nonnegative float; anything else (NaN, a string, a negative
+    number) raises DomainError naming the argument."""
+    if not (isinstance(value, Real) and value >= 0.0):
+        raise DomainError(f"{name} must be a nonnegative number, got {value!r}")
+    return float(value)
 
 
 def _as_array(value, name: str, ndim: int) -> np.ndarray:
@@ -98,8 +107,7 @@ def mat_exp(M) -> np.ndarray:
 def spectrum(M, tol_spec: float = DEFAULT_IMAG_TOL) -> SpectrumReport:
     """Eigenvalues of M with an all-real flag at imaginary-part tolerance tol_spec."""
     A = as_square(M, "spectrum argument")
-    if not tol_spec >= 0:
-        raise DomainError(f"tol_spec must be nonnegative, got {tol_spec}")
+    tol_spec = _tolerance(tol_spec, "tol_spec")
     try:
         eig = np.linalg.eigvals(np.asarray(A))
     except np.linalg.LinAlgError as exc:

@@ -6,6 +6,7 @@ All containers are frozen dataclasses holding read-only arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.optimize import linprog
@@ -16,12 +17,24 @@ from .linalg import as_matrix, as_square, as_vector
 BALL_CONTAINS_TOL = 1e-12
 
 
-def _as_number(kind, value, fallback):
-    """kind(value), or fallback when value is not a number of that kind."""
+def _as_number(value, fallback):
+    """float(value), or fallback when value is not a number."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         return fallback
+
+
+def _count(value, name: str, minimum: int = 1, error=DomainError) -> int:
+    """value as an int of at least minimum.  Integers and integral floats
+    such as 2000.0 pass; non-numbers, non-finite and non-integral values
+    raise error naming the argument."""
+    if not (isinstance(value, Integral)
+            or isinstance(value, Real) and float(value).is_integer()):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_sense(sense: str) -> str:
@@ -50,12 +63,10 @@ class LinearSystem:
         if X0.shape[0] != A.shape[0]:
             raise DimensionError(f"X0 has length {X0.shape[0]} but A is "
                                  f"{A.shape[0]}x{A.shape[0]}")
-        T = _as_number(float, self.T, np.nan)
+        T = _as_number(self.T, np.nan)
         if not np.isfinite(T) or T <= 0.0:
             raise DomainError(f"T must be a positive finite number, got {self.T!r}")
-        m = _as_number(int, self.m, 0)
-        if m < 1:
-            raise DimensionError(f"input dimension m must be at least 1, got {self.m!r}")
+        m = _count(self.m, "input dimension m", error=DimensionError)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "X0", X0)
         object.__setattr__(self, "T", T)
@@ -90,9 +101,7 @@ class ControlPolytope:
             if exc.__cause__ is None and np.size(self.vertices) == 0:
                 raise GeometryError("vertex list must not be empty") from None
             raise
-        m = _as_number(int, self.m, 0)
-        if m < 1:
-            raise DimensionError(f"input dimension m must be at least 1, got {self.m!r}")
+        m = _count(self.m, "input dimension m", error=DimensionError)
         if V.shape[1] != m:
             raise DimensionError(f"vertices have {V.shape[1]} coordinates but m = {m}")
         object.__setattr__(self, "m", m)
@@ -176,7 +185,7 @@ class FrobeniusBall:
 
     def __post_init__(self):
         center = as_matrix(self.center, "ball center")
-        radius = _as_number(float, self.radius, np.nan)
+        radius = _as_number(self.radius, np.nan)
         if not np.isfinite(radius) or radius < 0.0:
             raise GeometryError(f"ball radius must be a nonnegative finite number, "
                                 f"got {self.radius!r}")

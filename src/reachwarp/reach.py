@@ -24,10 +24,15 @@ summed run by run (a run is a stretch of steps holding one vertex) with no
 state propagated, through one function for every caller.
 
 All powers of E come from two tables of about sqrt(N) matrices each,
-E^{ab + r} = E^{ab} E^r with r < b = ceil(sqrt(N)): one product with them
-gives every R_k, and X_dB, needed only as output, is advanced run by run
-with E^L and S_L = sum_{i<L} E^i from the same tables, which keeps G_d
-equal to d . (X_dB - E^N X0) up to rounding.
+E^{ab + r} = E^{ab} E^r with r < b = ceil(sqrt(N)).  X_dB, needed only as
+output, is advanced run by run with E^L and S_L = sum_{i<L} E^i from them,
+which keeps G_d equal to d . (X_dB - E^N X0) up to rounding.  With
+j = N-1-k = ab + r, the score P_k^T B u_v = (d^T E^{ab}) (E^r F^T B u_v),
+F = e^{A^T h/2}, factors either way round.  G_d keeps d while B varies
+(one B per verify sample), so it caches the d-side P and W per direction.
+Boundary points keep B and U while d varies (a sweep is a fan of
+directions), so each call builds the B-side Q_B = [E^r F^T B V^T]_{r<b}
+once and scores a direction with one product of its rows d^T E^{ab}.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from math import isqrt
 import numpy as np
 
 from .errors import DimensionError, DomainError, GeometryError, NumericError
-from .linalg import _direction_in, as_matrix, mat_exp, unit_direction
-from .model import ControlPolytope, LinearSystem
+from .linalg import _direction_in, as_matrix, mat_exp
+from .model import ControlPolytope, LinearSystem, _count
 
 DEFAULT_STEPS = 2000
 
@@ -186,18 +191,12 @@ def _costate_tables(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
     return P, W
 
 
-def _midpoint_costates(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
-    """Adjoint values at all step midpoints, one row per step."""
-    return _costate_tables(a_key, n, d_key, T, steps)[0]
-
-
-def _vertex_runs(P: np.ndarray, B: np.ndarray, V: np.ndarray):
+def _vertex_runs(idx: np.ndarray):
     """First step and vertex index of every run of steps holding one vertex.
 
-    Step k holds the vertex maximizing P[k] . B u_j; ties go to the lowest
-    vertex index.
+    idx[k] is the vertex step k holds: the argmax over j of P_k . B u_j,
+    ties to the lowest index.
     """
-    idx = np.argmax(P @ (B @ V.T), axis=1)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
     return starts, idx[starts]
 
@@ -208,7 +207,7 @@ def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, V: np.ndarray) -> float
     P and W come from _costate_tables, V holds the vertices as rows; B is
     trusted to have the system's shape.
     """
-    starts, vertex = _vertex_runs(P, B, V)
+    starts, vertex = _vertex_runs(np.argmax(P @ (B @ V.T), axis=1))
     gains = np.add.reduceat(W, starts, axis=0) @ B
     G = float(np.sum(gains * V[vertex]))
     if not np.isfinite(G):
@@ -222,10 +221,10 @@ def _costate_weights(sys: LinearSystem, d: np.ndarray, steps: int):
     return _costate_tables(sys.A.tobytes(), sys.n, d.tobytes(), sys.T, steps)
 
 
-def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, d) -> tuple[np.ndarray, np.ndarray]:
+def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, *directions):
     """Check B (or a ball center) is an (n, m) matrix, U has the system's
-    input dimension and d is a unit vector of length n; return B and d as
-    read-only arrays."""
+    input dimension and each direction is a unit vector of length n; return
+    B and the directions as read-only arrays."""
     Bm = as_matrix(B, "B")
     if Bm.shape != (sys.n, sys.m):
         raise DimensionError(f"input matrix has shape {Bm.shape}, expected shape "
@@ -233,14 +232,38 @@ def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, d) -> tuple[np.n
     if U.m != sys.m:
         raise DimensionError(f"control set has dimension {U.m} but the system "
                              f"expects {sys.m}")
-    return Bm, _direction_in(d, sys.n)
+    return (Bm, *(_direction_in(d, sys.n) for d in directions))
 
 
-def _check_steps(steps: int) -> int:
-    steps = int(steps)
-    if steps < 1:
-        raise DomainError(f"steps must be at least 1, got {steps}")
-    return steps
+def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, directions,
+           steps: int) -> list[BoundaryPoint]:
+    """Boundary points of checked directions through the B-side table Q_B;
+    each direction's vertex picks come in j order, reversed into step order."""
+    n, V = sys.n, U.vertices
+    h = sys.T / steps
+    a_key = sys.A.tobytes()
+    _, Gam, Fh = _step_matrices(a_key, n, h)
+    Er, Sr, Eab, Sab = _power_tables(a_key, n, h, steps)
+    b = Er.shape[0]
+    Q = (Er @ (Fh.T @ (Bm @ V.T))).transpose(1, 0, 2).reshape(n, -1)
+    points = []
+    for d in directions:
+        scores = ((d @ Eab) @ Q).reshape(-1, V.shape[0])[:steps]
+        starts, vertex = _vertex_runs(np.argmax(scores, axis=1)[::-1])
+        inputs = (Gam @ (Bm @ V[vertex].T)).T
+        lengths = np.diff(np.append(starts, steps))
+        x = np.array(sys.X0, dtype=float)
+        for L, c in zip(lengths, inputs):
+            a, r = divmod(int(L), b)
+            x = Eab[a] @ (Er[r] @ x + Sr[r] @ c) + Sab[a] @ c
+        if not np.all(np.isfinite(x)):
+            raise NumericError("propagated state is non-finite; the dynamics overflow "
+                               "the horizon")
+        x.setflags(write=False)
+        switches = tuple((float(s * h), int(j)) for s, j in zip(starts, vertex))
+        points.append(BoundaryPoint(d=d, X_dB=x, support_value=float(d @ x),
+                                    switch_times=switches, steps=steps))
+    return points
 
 
 def boundary_point(sys: LinearSystem, B, U: ControlPolytope, d,
@@ -254,27 +277,7 @@ def boundary_point(sys: LinearSystem, B, U: ControlPolytope, d,
     switch times being resolved only to step resolution.
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
-    steps = _check_steps(steps)
-    h = sys.T / steps
-    a_key = sys.A.tobytes()
-    _, Gam, _ = _step_matrices(a_key, sys.n, h)
-    P = _midpoint_costates(a_key, sys.n, dv.tobytes(), sys.T, steps)
-    starts, vertex = _vertex_runs(P, Bm, U.vertices)
-    Er, Sr, Eab, Sab = _power_tables(a_key, sys.n, h, steps)
-    b = Er.shape[0]
-    inputs = (Gam @ (Bm @ U.vertices[vertex].T)).T
-    lengths = np.diff(np.append(starts, steps))
-    x = np.array(sys.X0, dtype=float)
-    for L, c in zip(lengths, inputs):
-        a, r = divmod(int(L), b)
-        x = Eab[a] @ (Er[r] @ x + Sr[r] @ c) + Sab[a] @ c
-    if not np.all(np.isfinite(x)):
-        raise NumericError("propagated state is non-finite; the dynamics overflow "
-                           "the horizon")
-    x.setflags(write=False)
-    switches = tuple((float(s * h), int(j)) for s, j in zip(starts, vertex))
-    return BoundaryPoint(d=dv, X_dB=x, support_value=float(dv @ x),
-                         switch_times=switches, steps=steps)
+    return _sweep(sys, Bm, U, [dv], _count(steps, "steps"))[0]
 
 
 def zero_input_endpoint(sys: LinearSystem) -> np.ndarray:
@@ -292,7 +295,7 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
     sum of the module docstring; X_dB and c0 are reported alongside it.
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
-    steps = _check_steps(steps)
+    steps = _count(steps, "steps")
     bp = boundary_point(sys, Bm, U, dv, steps)
     c0 = zero_input_endpoint(sys)
     if not np.all(np.isfinite(c0)):
@@ -305,11 +308,10 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
 def boundary_sweep(sys: LinearSystem, B, U: ControlPolytope, directions,
                    steps: int = DEFAULT_STEPS) -> list[BoundaryPoint]:
     """Boundary points for a list of directions, in the order given."""
-    dirs = [unit_direction(d) for d in directions]
+    Bm, *dirs = _check_reach_args(sys, B, U, *directions)
     if not dirs:
         raise GeometryError("boundary_sweep needs at least one direction")
-    steps = _check_steps(steps)
-    return [boundary_point(sys, B, U, dd, steps) for dd in dirs]
+    return _sweep(sys, Bm, U, dirs, _count(steps, "steps"))
 
 
 def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
@@ -319,12 +321,8 @@ def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     sphere; higher dimensions draw seeded Gaussian vectors and normalize.
     n = 1 has only two unit directions, so at most M = 2 is allowed there.
     """
-    n = int(n)
-    M = int(M)
-    if n < 1:
-        raise DimensionError(f"dimension n must be at least 1, got {n}")
-    if M < 1:
-        raise DomainError(f"direction count M must be at least 1, got {M}")
+    n = _count(n, "dimension n", error=DimensionError)
+    M = _count(M, "direction count M")
     if n == 1:
         if M > 2:
             raise DomainError("only 2 distinct unit directions exist in 1-D")
@@ -366,9 +364,7 @@ def support_oracle(sys: LinearSystem, B, U: ControlPolytope, d,
     exponential.
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
-    quad_nodes = int(quad_nodes)
-    if quad_nodes < 2:
-        raise DomainError(f"quad_nodes must be at least 2, got {quad_nodes}")
+    quad_nodes = _count(quad_nodes, "quad_nodes", minimum=2)
     npts = 2 * quad_nodes + 1
     delta = sys.T / (npts - 1)
     AT = sys.A.T

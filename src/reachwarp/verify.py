@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense
+from .linalg import _tolerance
+from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, _count
 from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _costate_weights,
                     _growth, growth_metric)
 from .warp import WarpResult, optimize_B
@@ -48,9 +48,7 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> list[n
     dim the number of matrix entries, the standard recipe for uniform
     sampling in a norm ball.
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"sample count must be at least 1, got {k}")
+    k = _count(k, "sample count k")
     rng = np.random.default_rng(seed)
     dim = ball.center.size
     out = []
@@ -84,8 +82,7 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     evaluation order.
     """
     _check_sense(sense)
-    if not tol_verify >= 0.0:
-        raise DomainError(f"tol_verify must be nonnegative, got {tol_verify}")
+    tol_verify = _tolerance(tol_verify, "tol_verify")
     if result is None:
         result = optimize_B(sys, U, ball, d, sense, steps)
     _, dv = _check_reach_args(sys, ball.center, U, d)
@@ -99,4 +96,4 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     return SampleVerdict(samples=int(k), best_sampled_G=best_G,
                          best_sampled_B=samples[best], G_star=float(G_star),
                          margin=float(margin), passed=bool(margin >= -tol_verify),
-                         tol_verify=float(tol_verify))
+                         tol_verify=tol_verify)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import DEFAULT_IMAG_TOL, SpectrumReport, eigvec_residual, spectrum
+from .linalg import DEFAULT_IMAG_TOL, SpectrumReport, _tolerance, eigvec_residual, spectrum
 from .linalg import mat_exp  # noqa: F401 - bench/test_bench.py reads warp.mat_exp
 from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, ball_argmax
 from .reach import DEFAULT_STEPS, _check_reach_args, costate_path, growth_metric
@@ -86,8 +85,7 @@ def initial_costate(sys: LinearSystem, d) -> np.ndarray:
 def check_assumptions(sys: LinearSystem, d, tol_spec: float = DEFAULT_IMAG_TOL,
                       tol_ev: float = DEFAULT_EIGVEC_TOL) -> AssumptionReport:
     """Classify (A, d) into the theorem regime or one of the heuristic regimes."""
-    if not tol_ev >= 0:
-        raise DomainError(f"tol_ev must be nonnegative, got {tol_ev}")
+    tol_ev = _tolerance(tol_ev, "tol_ev")
     mu, residual = eigvec_residual(sys.A.T, d)
     spec = spectrum(sys.A, tol_spec)
     a1 = spec.all_real

@@ -3,8 +3,8 @@
 The direction, input-matrix and control-dimension checks live in one place
 each; this pins that every entry point still reaches them, with the same
 exception class.  Malformed arguments (a NaN tolerance, a string where a
-number belongs, a ragged vertex list) raise the package's own errors, never
-numpy's or Python's ValueError.
+number belongs, a count of 2.5 or infinity, a ragged vertex list) raise the
+package's own errors, never Python's ValueError, TypeError or OverflowError.
 """
 
 import numpy as np
@@ -12,9 +12,9 @@ import pytest
 
 from reachwarp import (ControlPolytope, DimensionError, DomainError, FrobeniusBall,
                        GeometryError, LinearSystem, PreconditionError, boundary_point,
-                       box_polytope, check_assumptions, costate_path, growth_metric,
-                       initial_costate, optimize_B, spectrum, support_oracle,
-                       verify_optimality)
+                       boundary_sweep, box_polytope, check_assumptions, costate_path,
+                       direction_fan, growth_metric, initial_costate, optimize_B,
+                       sample_ball, spectrum, support_oracle, verify_optimality)
 
 SYS = LinearSystem(A=[[-1.0, 0.0], [0.0, -2.0]], X0=[0.0, 0.0], T=1.0, m=1)
 
@@ -32,6 +32,7 @@ ENTRY_POINTS = {
     "initial_costate": (lambda d, B, U: initial_costate(SYS, d), False),
     "check_assumptions": (lambda d, B, U: check_assumptions(SYS, d), False),
     "boundary_point": (lambda d, B, U: boundary_point(SYS, B, U, d, 20), True),
+    "boundary_sweep": (lambda d, B, U: boundary_sweep(SYS, B, U, [d], 20), True),
     "growth_metric": (lambda d, B, U: growth_metric(SYS, B, U, d, 20), True),
     "support_oracle": (lambda d, B, U: support_oracle(SYS, B, U, d, 20), True),
     "optimize_B": (lambda d, B, U: optimize_B(SYS, U, _ball(B), d, steps=20), True),
@@ -63,7 +64,21 @@ def test_entry_point_rejects_bad_problem_input(entry, bad):
         call(**{**GOOD, **override})
 
 
+@pytest.mark.parametrize("bad", ["short-direction", "non-unit-direction"])
+def test_sweep_checks_every_direction(bad):
+    # B, U and steps are checked once per sweep; each direction still is
+    override, _, error = BAD_INPUTS[bad]
+    good = GOOD["d"]
+    with pytest.raises(error):
+        boundary_sweep(SYS, GOOD["B"], GOOD["U"], [good, override["d"], good], 20)
+
+
 NAN = float("nan")
+INF = float("inf")
+
+
+def _point(steps):
+    return boundary_point(SYS, GOOD["B"], GOOD["U"], GOOD["d"], steps)
 
 # malformed argument -> (call, exception expected, text the message must name)
 ARGUMENT_CASES = {
@@ -88,6 +103,47 @@ ARGUMENT_CASES = {
         lambda: LinearSystem(A=SYS.A, X0=SYS.X0, T=1.0, m="x"), DimensionError, "m must"),
     "FrobeniusBall-radius-string": (
         lambda: FrobeniusBall(center=GOOD["B"], radius="x"), GeometryError, "radius"),
+    "boundary_point-steps-nan": (lambda: _point(NAN), DomainError, "steps"),
+    "boundary_point-steps-inf": (lambda: _point(INF), DomainError, "steps"),
+    "boundary_point-steps-string": (lambda: _point("x"), DomainError, "steps"),
+    "boundary_point-steps-fraction": (lambda: _point(20.5), DomainError, "steps"),
+    "boundary_sweep-steps-fraction": (
+        lambda: boundary_sweep(SYS, GOOD["B"], GOOD["U"], [GOOD["d"]], 2.5),
+        DomainError, "steps"),
+    "growth_metric-steps-inf": (
+        lambda: growth_metric(SYS, GOOD["B"], GOOD["U"], GOOD["d"], INF),
+        DomainError, "steps"),
+    "direction_fan-n-fraction": (lambda: direction_fan(2.5, 4), DimensionError,
+                                 "dimension n"),
+    "direction_fan-n-string": (lambda: direction_fan("x", 4), DimensionError,
+                               "dimension n"),
+    "direction_fan-M-nan": (lambda: direction_fan(2, NAN), DomainError, "count M"),
+    "direction_fan-M-inf": (lambda: direction_fan(2, INF), DomainError, "count M"),
+    "direction_fan-M-fraction": (lambda: direction_fan(2, 3.5), DomainError, "count M"),
+    "support_oracle-quad_nodes-string": (
+        lambda: support_oracle(SYS, GOOD["B"], GOOD["U"], GOOD["d"], "x"),
+        DomainError, "quad_nodes"),
+    "support_oracle-quad_nodes-fraction": (
+        lambda: support_oracle(SYS, GOOD["B"], GOOD["U"], GOOD["d"], 20.5),
+        DomainError, "quad_nodes"),
+    "sample_ball-k-nan": (lambda: sample_ball(_ball(GOOD["B"]), NAN), DomainError,
+                          "count k"),
+    "sample_ball-k-inf": (lambda: sample_ball(_ball(GOOD["B"]), INF), DomainError,
+                          "count k"),
+    "sample_ball-k-fraction": (lambda: sample_ball(_ball(GOOD["B"]), 2.5), DomainError,
+                               "count k"),
+    "LinearSystem-m-fraction": (
+        lambda: LinearSystem(A=SYS.A, X0=SYS.X0, T=1.0, m=1.5), DimensionError, "m must"),
+    "ControlPolytope-m-fraction": (
+        lambda: ControlPolytope(m=1.5, vertices=[[1.0], [-1.0]], contains_zero=True),
+        DimensionError, "m must"),
+    "spectrum-tol_spec-string": (lambda: spectrum(np.diag([-1.0, -2.0]), "x"),
+                                 DomainError, "tol_spec"),
+    "check_assumptions-tol_ev-string": (
+        lambda: check_assumptions(SYS, GOOD["d"], tol_ev="x"), DomainError, "tol_ev"),
+    "verify_optimality-tol_verify-string": (
+        lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
+                                  steps=20, tol_verify="x"), DomainError, "tol_verify"),
 }
 
 
@@ -96,3 +152,12 @@ def test_malformed_argument_raises_package_error(case):
     call, error, named = ARGUMENT_CASES[case]
     with pytest.raises(error, match=named):
         call()
+
+
+def test_integral_counts_are_accepted():
+    # integers, numpy integers and integral floats all count; the result is an int
+    assert _point(20.0).steps == 20 and type(_point(np.int64(20)).steps) is int
+    assert np.array_equal(_point(20.0).X_dB, _point(20).X_dB)
+    assert len(direction_fan(2.0, np.int64(3))) == 3
+    assert len(sample_ball(_ball(GOOD["B"]), 3.0)) == 3
+    assert LinearSystem(A=SYS.A, X0=SYS.X0, T=1.0, m=np.int64(1)).m == 1

@@ -6,12 +6,12 @@ import pytest
 from reachwarp import (DimensionError, DomainError, GeometryError, LinearSystem,
                        NumericError, boundary_point, boundary_sweep, box_polytope,
                        costate_path, direction_fan, growth_metric, mat_exp,
-                       parse_config, sample_ball, support_oracle,
+                       optimize_B, parse_config, sample_ball, support_oracle,
                        verify_optimality, zero_input_endpoint)
 from reachwarp import reach, warp
 from reachwarp.fixtures import fixture_config, fixture_names
-from reachwarp.reach import (_costate_weights, _growth, _midpoint_costates,
-                             _power_block, _step_matrices)
+from reachwarp.reach import (_costate_tables, _costate_weights, _growth,
+                             _power_block, _step_matrices, _vertex_runs)
 
 from conftest import series_exp
 
@@ -147,7 +147,7 @@ def test_midpoint_costates_match_direct_exponentials():
     steps = 130
     d = rng.standard_normal(3)
     d /= np.linalg.norm(d)
-    P = _midpoint_costates(A.tobytes(), 3, d.tobytes(), T, steps)
+    P = _costate_tables(A.tobytes(), 3, d.tobytes(), T, steps)[0]
     h = T / steps
     for k in range(0, steps, 7):
         t_mid = (k + 0.5) * h
@@ -340,7 +340,7 @@ def test_series_oracle_sanity():
 def _naive_boundary_point(sys_, B, U, d, steps):
     """Per-step reference: hold each step's vertex, apply the exact step map."""
     E, Gam, _ = _step_matrices(sys_.A.tobytes(), sys_.n, sys_.T / steps)
-    P = _midpoint_costates(sys_.A.tobytes(), sys_.n, d.tobytes(), sys_.T, steps)
+    P = _costate_tables(sys_.A.tobytes(), sys_.n, d.tobytes(), sys_.T, steps)[0]
     x = np.array(sys_.X0, dtype=float)
     for k in range(steps):
         u = U.vertices[int(np.argmax(U.vertices @ (B.T @ P[k])))]
@@ -377,6 +377,27 @@ def test_growth_kernel_matches_boundary_projection(name):
         G = _growth(P, W, M, U.vertices)
         X = boundary_point(sys_, M, U, d, problem.steps).X_dB
         assert abs(G - float(d @ (X - c0))) <= 1e-12 * (1.0 + abs(G))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_sweep_and_growth_factorings_pick_the_same_vertices(name):
+    # a sweep scores through the B-side table, G_d through the d-side P table
+    problem = parse_config(fixture_config(name))
+    sys_, U, steps = problem.system, problem.control, problem.steps
+    B_star = optimize_B(sys_, U, problem.ball, problem.direction, problem.sense,
+                        steps).B_star
+    fan = direction_fan(sys_.n, 64 if sys_.n > 1 else 2)
+    c0 = zero_input_endpoint(sys_)
+    h = sys_.T / steps
+    for B in (problem.ball.center, B_star):
+        for bp in boundary_sweep(sys_, B, U, fan, steps):
+            P, W = _costate_tables(sys_.A.tobytes(), sys_.n, bp.d.tobytes(), sys_.T,
+                                   steps)
+            starts, vertex = _vertex_runs(np.argmax(P @ (B @ U.vertices.T), axis=1))
+            assert bp.switch_times == tuple((float(s * h), int(j))
+                                            for s, j in zip(starts, vertex))
+            G = _growth(P, W, B, U.vertices)
+            assert abs(bp.support_value - float(bp.d @ c0) - G) <= 1e-12 * (1.0 + abs(G))
 
 
 def test_verify_exponential_count_independent_of_samples(monkeypatch):
