@@ -6,6 +6,7 @@ All containers are frozen dataclasses holding read-only arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -111,6 +112,15 @@ class ControlPolytope:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
+
+    @cached_property
+    def is_box(self) -> bool:
+        """Whether the vertices are a box with lo = V[0] < hi = V[-1] in
+        box_polytope's binary order: row k takes hi_j where bit j of k is set."""
+        V, m = self.vertices, self.m
+        bits = (np.arange(V.shape[0])[:, None] >> np.arange(m)) & 1
+        return bool(V.shape[0] == 2 ** m and np.all(V[0] < V[-1])
+                    and np.array_equal(V, np.where(bits == 1, V[-1], V[0])))
 
 
 def _dedup_rows(V: np.ndarray) -> np.ndarray:

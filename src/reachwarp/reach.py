@@ -33,6 +33,10 @@ F = e^{A^T h/2}, factors either way round.  G_d keeps d while B varies
 Boundary points keep B and U while d varies (a sweep is a fan of
 directions), so each call builds the B-side Q_B = [E^r F^T B V^T]_{r<b}
 once and scores a direction with one product of its rows d^T E^{ab}.
+When U is an uncollapsed box in box_polytope's binary order, the argmax is
+the bang-bang sign rule: bit j of i_k is [(B^T P_k)_j > 0], an exact zero
+giving bit 0 as the tie-break does, so both kernels score B^T P_k (B in
+place of B V^T: m columns, not 2^m).  Other polytopes keep the argmax.
 """
 
 from __future__ import annotations
@@ -192,24 +196,33 @@ def _costate_tables(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
 
 
 def _vertex_runs(idx: np.ndarray):
-    """First step and vertex index of every run of steps holding one vertex.
-
-    idx[k] is the vertex step k holds: the argmax over j of P_k . B u_j,
-    ties to the lowest index.
-    """
+    """First step and vertex index of every run of steps holding one vertex,
+    given the vertex idx[k] that step k holds."""
     starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
     return starts, idx[starts]
 
 
-def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, V: np.ndarray) -> float:
+def _score_factor(B: np.ndarray, U: ControlPolytope) -> np.ndarray:
+    """Right-hand factor of the vertex scores: B for a box, else B V^T."""
+    return B if U.is_box else B @ U.vertices.T
+
+
+def _pick(scores: np.ndarray, U: ControlPolytope) -> np.ndarray:
+    """Per row of scores, the vertex maximizing P^T B u, ties to the lowest
+    index: the weighted sign bits for a box, the argmax otherwise."""
+    if U.is_box:
+        return ((scores > 0.0) @ (2.0 ** np.arange(U.m))).astype(np.intp)
+    return np.argmax(scores, axis=1)
+
+
+def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope) -> float:
     """G_d(B) = sum over runs of (sum of the run's W_k)^T B u_j.
 
-    P and W come from _costate_tables, V holds the vertices as rows; B is
-    trusted to have the system's shape.
+    P and W come from _costate_tables; B is trusted to have the system's shape.
     """
-    starts, vertex = _vertex_runs(np.argmax(P @ (B @ V.T), axis=1))
+    starts, vertex = _vertex_runs(_pick(P @ _score_factor(B, U), U))
     gains = np.add.reduceat(W, starts, axis=0) @ B
-    G = float(np.sum(gains * V[vertex]))
+    G = float(np.sum(gains * U.vertices[vertex]))
     if not np.isfinite(G):
         raise NumericError("growth metric is non-finite; the dynamics overflow "
                            "the horizon")
@@ -245,11 +258,12 @@ def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, directions,
     _, Gam, Fh = _step_matrices(a_key, n, h)
     Er, Sr, Eab, Sab = _power_tables(a_key, n, h, steps)
     b = Er.shape[0]
-    Q = (Er @ (Fh.T @ (Bm @ V.T))).transpose(1, 0, 2).reshape(n, -1)
+    factor = _score_factor(Bm, U)
+    Q = (Er @ (Fh.T @ factor)).transpose(1, 0, 2).reshape(n, -1)
     points = []
     for d in directions:
-        scores = ((d @ Eab) @ Q).reshape(-1, V.shape[0])[:steps]
-        starts, vertex = _vertex_runs(np.argmax(scores, axis=1)[::-1])
+        scores = ((d @ Eab) @ Q).reshape(-1, factor.shape[1])[:steps]
+        starts, vertex = _vertex_runs(_pick(scores, U)[::-1])
         inputs = (Gam @ (Bm @ V[vertex].T)).T
         lengths = np.diff(np.append(starts, steps))
         x = np.array(sys.X0, dtype=float)
@@ -301,7 +315,7 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
     if not np.all(np.isfinite(c0)):
         raise NumericError("drift endpoint is non-finite; the dynamics overflow "
                            "the horizon")
-    G = _growth(*_costate_weights(sys, dv, steps), Bm, U.vertices)
+    G = _growth(*_costate_weights(sys, dv, steps), Bm, U)
     return GrowthReport(G_d=G, c0=c0, X_dB=bp.X_dB, B=Bm)
 
 
@@ -323,6 +337,7 @@ def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     """
     n = _count(n, "dimension n", error=DimensionError)
     M = _count(M, "direction count M")
+    seed = _count(seed, "seed", minimum=0)
     if n == 1:
         if M > 2:
             raise DomainError("only 2 distinct unit directions exist in 1-D")

@@ -49,6 +49,7 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> list[n
     sampling in a norm ball.
     """
     k = _count(k, "sample count k")
+    seed = _count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     dim = ball.center.size
     out = []
@@ -83,13 +84,13 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     """
     _check_sense(sense)
     tol_verify = _tolerance(tol_verify, "tol_verify")
+    samples = sample_ball(ball, k, seed)
     if result is None:
         result = optimize_B(sys, U, ball, d, sense, steps)
     _, dv = _check_reach_args(sys, ball.center, U, d)
     G_star = growth_metric(sys, result.B_star, U, dv, steps).G_d
     P, W = _costate_weights(sys, dv, int(steps))
-    samples = sample_ball(ball, k, seed)
-    values = np.array([_growth(P, W, M, U.vertices) for M in samples])
+    values = np.array([_growth(P, W, M, U) for M in samples])
     best = int(np.argmax(values) if sense == "grow" else np.argmin(values))
     best_G = float(values[best])
     margin = G_star - best_G if sense == "grow" else best_G - G_star

@@ -308,3 +308,35 @@ def test_non_finite_config_numbers_exit_two(run_cli, fixture_file, tmp_path,
     assert code == 2
     assert f"'{field}'" in err
     assert out == ""
+
+
+def _outputs(out_dir):
+    """Every output file's bytes, with the manifest's wall-clock time removed."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "manifest.json":
+            manifest = read_json(path)
+            manifest.pop("wall_clock_s")
+            files[path.name] = json.dumps(manifest, sort_keys=True)
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_one_process_runs_commands_like_separate_processes(run_cli, fixture_file,
+                                                           tmp_path):
+    # main reuses one parser; a --seed given to one command must not reach the next
+    commands = [
+        ("boundary", "--config", fixture_file("admire_grow_p"), "--B", "optimized",
+         "--directions", "8", "--seed", "7", "--steps", "300"),
+        ("verify", "--config", fixture_file("diag3_theorem"), "--samples", "20",
+         "--steps", "300"),
+    ]
+    for i, argv in enumerate(commands):
+        code, out, err = run_cli(*argv, "--out", tmp_path / f"same{i}")
+        done = subprocess.run([sys.executable, "-m", "reachwarp", *map(str, argv),
+                               "--out", str(tmp_path / f"own{i}")],
+                              capture_output=True, text=True)
+        assert (code, out, err) == (done.returncode, done.stdout, done.stderr)
+        assert _outputs(tmp_path / f"same{i}") == _outputs(tmp_path / f"own{i}")
+    assert read_json(tmp_path / "same1" / "verdict.json")["seed"] == 42

@@ -144,6 +144,35 @@ ARGUMENT_CASES = {
     "verify_optimality-tol_verify-string": (
         lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
                                   steps=20, tol_verify="x"), DomainError, "tol_verify"),
+    "sample_ball-seed-string": (lambda: sample_ball(_ball(GOOD["B"]), 3, seed="x"),
+                                DomainError, "seed"),
+    "sample_ball-seed-fraction": (lambda: sample_ball(_ball(GOOD["B"]), 3, seed=2.5),
+                                  DomainError, "seed"),
+    "sample_ball-seed-nan": (lambda: sample_ball(_ball(GOOD["B"]), 3, seed=NAN),
+                             DomainError, "seed"),
+    "sample_ball-seed-negative": (lambda: sample_ball(_ball(GOOD["B"]), 3, seed=-1),
+                                  DomainError, "seed"),
+    "verify_optimality-seed-string": (
+        lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
+                                  seed="x", steps=20), DomainError, "seed"),
+    "verify_optimality-seed-fraction": (
+        lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
+                                  seed=2.5, steps=20), DomainError, "seed"),
+    "verify_optimality-seed-nan": (
+        lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
+                                  seed=NAN, steps=20), DomainError, "seed"),
+    "verify_optimality-seed-negative": (
+        lambda: verify_optimality(SYS, GOOD["U"], _ball(GOOD["B"]), GOOD["d"], k=3,
+                                  seed=-1, steps=20), DomainError, "seed"),
+    # n = 1 to 3 draw no random numbers; their seed is checked all the same
+    "direction_fan-seed-string": (lambda: direction_fan(2, 4, seed="x"), DomainError,
+                                  "seed"),
+    "direction_fan-seed-fraction": (lambda: direction_fan(3, 4, seed=2.5), DomainError,
+                                    "seed"),
+    "direction_fan-seed-nan": (lambda: direction_fan(4, 4, seed=NAN), DomainError,
+                               "seed"),
+    "direction_fan-seed-negative": (lambda: direction_fan(5, 4, seed=-1), DomainError,
+                                    "seed"),
 }
 
 
@@ -160,4 +189,7 @@ def test_integral_counts_are_accepted():
     assert np.array_equal(_point(20.0).X_dB, _point(20).X_dB)
     assert len(direction_fan(2.0, np.int64(3))) == 3
     assert len(sample_ball(_ball(GOOD["B"]), 3.0)) == 3
+    assert np.array_equal(sample_ball(_ball(GOOD["B"]), 3, seed=7.0)[2],
+                          sample_ball(_ball(GOOD["B"]), 3, seed=np.int64(7))[2])
+    assert np.array_equal(direction_fan(4, 3, seed=5.0)[2], direction_fan(4, 3, seed=5)[2])
     assert LinearSystem(A=SYS.A, X0=SYS.X0, T=1.0, m=np.int64(1)).m == 1

@@ -176,3 +176,20 @@ def test_ball_contains_boundary_and_outside():
     assert not ball_contains(ball, 1.01 * E11)
     with pytest.raises(DimensionError):
         ball_contains(ball, np.ones((1, 1)))
+
+
+def test_box_detection_follows_binary_vertex_order():
+    U = box_polytope([-1.0, 0.5, -2.0], [1.0, 2.0, 0.0])
+    assert U.is_box and box_polytope([0.5], [1.0]).is_box
+    V = U.vertices
+    # the same vertices in box_polytope's order qualify whatever built them
+    assert vertex_polytope(V).is_box
+    assert not vertex_polytope(V[::-1]).is_box
+    assert not vertex_polytope(V[[0, 2, 1, 3, 4, 5, 6, 7]]).is_box
+    # a collapsed coordinate leaves fewer than 2^m vertices
+    assert not box_polytope([0.0, -1.0], [0.0, 1.0]).is_box
+    assert not box_polytope([0.0], [0.0]).is_box
+    # 2^m vertices with V[0] < V[-1] that are not a box
+    assert not vertex_polytope([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [2.0, 2.0]]).is_box
+    assert ControlPolytope(m=1, vertices=[[-1.0], [1.0]], contains_zero=True).is_box
+    assert not ControlPolytope(m=1, vertices=[[1.0], [-1.0]], contains_zero=True).is_box

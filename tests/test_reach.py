@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachwarp import (DimensionError, DomainError, GeometryError, LinearSystem,
                        NumericError, boundary_point, boundary_sweep, box_polytope,
                        costate_path, direction_fan, growth_metric, mat_exp,
                        optimize_B, parse_config, sample_ball, support_oracle,
-                       verify_optimality, zero_input_endpoint)
+                       verify_optimality, vertex_polytope, zero_input_endpoint)
 from reachwarp import reach, warp
 from reachwarp.fixtures import fixture_config, fixture_names
-from reachwarp.reach import (_costate_tables, _costate_weights, _growth,
-                             _power_block, _step_matrices, _vertex_runs)
+from reachwarp.reach import (_costate_tables, _costate_weights, _growth, _pick,
+                             _power_block, _score_factor, _step_matrices,
+                             _vertex_runs)
 
 from conftest import series_exp
 
@@ -374,7 +377,7 @@ def test_growth_kernel_matches_boundary_projection(name):
     P, W = _costate_weights(sys_, d, problem.steps)
     c0 = zero_input_endpoint(sys_)
     for M in sample_ball(problem.ball, 20, seed=8):
-        G = _growth(P, W, M, U.vertices)
+        G = _growth(P, W, M, U)
         X = boundary_point(sys_, M, U, d, problem.steps).X_dB
         assert abs(G - float(d @ (X - c0))) <= 1e-12 * (1.0 + abs(G))
 
@@ -396,7 +399,7 @@ def test_sweep_and_growth_factorings_pick_the_same_vertices(name):
             starts, vertex = _vertex_runs(np.argmax(P @ (B @ U.vertices.T), axis=1))
             assert bp.switch_times == tuple((float(s * h), int(j))
                                             for s, j in zip(starts, vertex))
-            G = _growth(P, W, B, U.vertices)
+            G = _growth(P, W, B, U)
             assert abs(bp.support_value - float(bp.d @ c0) - G) <= 1e-12 * (1.0 + abs(G))
 
 
@@ -428,5 +431,46 @@ def test_growth_kernel_overflow_raises_numeric_error():
     d = np.array([1.0])
     with pytest.raises(NumericError):
         with np.errstate(over="ignore", invalid="ignore"):
-            _growth(*_costate_weights(sys_, d, 200), np.array([[1.0]]),
-                    BOX1.vertices)
+            _growth(*_costate_weights(sys_, d, 200), np.array([[1.0]]), BOX1)
+
+
+def _int_matrix(draw, rows, cols, zero_rows=False, zero_cols=False):
+    # small integers keep every score exact, so a tie in the argmax is a true tie
+    M = np.array(draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                               max_size=rows * cols)), dtype=float).reshape(rows, cols)
+    if zero_rows:
+        M[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0.0
+    if zero_cols:
+        M[:, draw(st.lists(st.booleans(), min_size=cols, max_size=cols))] = 0.0
+    return M
+
+
+@st.composite
+def _box_scores(draw):
+    n, m, N = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    lo = draw(st.lists(st.integers(-3, 2), min_size=m, max_size=m))
+    hi = [a + draw(st.integers(1, 3)) for a in lo]
+    return (box_polytope(lo, hi), _int_matrix(draw, N, n, zero_rows=True),
+            _int_matrix(draw, n, m, zero_cols=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_scores())
+def test_box_sign_pick_equals_vertex_argmax(problem):
+    U, P, B = problem
+    assert U.is_box
+    sign = _pick(P @ _score_factor(B, U), U)
+    assert sign.dtype == np.intp
+    assert np.array_equal(sign, np.argmax(P @ (B @ U.vertices.T), axis=1))
+
+
+def test_non_box_polytopes_keep_the_vertex_argmax():
+    U = vertex_polytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    collapsed = box_polytope([0.0, -1.0], [0.0, 1.0])
+    P = np.random.default_rng(4).standard_normal((50, 2))
+    B = np.array([[1.0, 0.5], [-0.3, 2.0]])
+    for V in (U, collapsed):
+        assert not V.is_box
+        scores = P @ _score_factor(B, V)
+        assert scores.shape == (50, V.num_vertices)
+        assert np.array_equal(_pick(scores, V), np.argmax(scores, axis=1))
