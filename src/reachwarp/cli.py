@@ -8,7 +8,8 @@ configuration echo, package version, assumption regime, wall-clock time
 and produced files.
 
 Exit codes: 0 success, 1 failed verification in the theorem regime,
-2 malformed configuration or dimension mismatch, 3 numerical failure.
+2 malformed configuration or options, dimension mismatch or an unwritable
+output path, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .config import ProblemConfig, _array, _read_json, load_config
 from .errors import ConfigError, NumericError, ReachwarpError
 from .fixtures import fixture_config, fixture_description, fixture_names
 from .linalg import as_matrix
+from .model import _count
 from .reach import boundary_sweep, direction_fan, growth_metric
 from .verify import DEFAULT_SAMPLES, verify_optimality
 from .warp import REGIME_THEOREM, WarpResult, check_assumptions, optimize_B
@@ -44,18 +46,82 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
+
+
+def _json_block(items, level: int, brackets: str = "[]") -> str:
+    """A JSON array (or object, with brackets "{}") of already-encoded
+    items, laid out as indent=2 would."""
+    pad = "\n" + "  " * (level + 1)
+    return (brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level
+            + brackets[1])
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, default=_json_default) for
+    obj nested level deep, with numbers formatted in bulk.
+
+    With indent set, json encodes every number in Python, one call at a
+    time.  Here a finite float64 array, or a non-empty list of plain ints
+    and finite floats, is one %-format of a template laid out by shape with
+    a %r (the repr json uses) per number, and a plain int or finite float
+    is its repr.  Everything else (strings, bools, None, non-finite
+    numbers, other arrays, numpy scalars, empty containers, dicts with
+    non-str keys) goes to the json encoder itself.  Its output has newlines
+    only between elements, so indenting them places it at any depth.
+    """
+    kind = type(obj)
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        items = [_ENCODER.encode(key) + ": " + _json_text(obj[key], level + 1)
+                 for key in sorted(obj)]
+        return _json_block(items, level, "{}")
+    # repr spells only the non-finite floats, nan and inf, with an "n"
+    if kind is np.ndarray and obj.dtype == np.float64 and obj.size and obj.ndim:
+        template = "%r"
+        for depth in range(obj.ndim - 1, -1, -1):
+            template = _json_block([template] * obj.shape[depth], level + depth)
+        text = template % tuple(obj.ravel().tolist())
+        if "n" not in text:
+            return text
+    elif (kind is list or kind is tuple) and obj:
+        if set(map(type, obj)) <= {int, float}:
+            text = _json_block(["%r"] * len(obj), level) % tuple(obj)
+            if "n" not in text:
+                return text
+        return _json_block([_json_text(item, level + 1) for item in obj], level)
+    elif kind is float or kind is int:
+        text = repr(obj)
+        if "n" not in text:
+            return text
+    return _ENCODER.encode(obj).replace("\n", "\n" + "  " * level)
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n", encoding="utf-8")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+# least value of each count option
+_COUNT_OPTIONS = {"steps": 1, "seed": 0, "directions": 1, "samples": 1}
+
+
 def _load_problem(args) -> ProblemConfig:
     """The configured problem with the --steps, --seed and --directions
-    overrides the command was given applied."""
+    overrides the command was given applied.  The count options are checked
+    first, so a bad value fails before any warning or work."""
+    for key, minimum in _COUNT_OPTIONS.items():
+        if getattr(args, key, None) is not None:
+            _count(getattr(args, key), f"--{key}", minimum)
     if not args.config:
         raise ConfigError("--config is required for this command")
     problem = load_config(args.config)
@@ -82,7 +148,10 @@ def _regime_warning(report) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out}: {exc}") from exc
     return out
 
 
@@ -205,12 +274,13 @@ def _write_boundary_csv(path: Path, points) -> None:
     n = points[0].d.shape[0]
     header = (["dir_index"] + [f"d_{i + 1}" for i in range(n)]
               + [f"x_{i + 1}" for i in range(n)] + ["support_value"])
-    lines = [",".join(header)]
-    for idx, p in enumerate(points):
-        row = ([str(idx)] + [_fmt(v) for v in p.d] + [_fmt(v) for v in p.X_dB]
-               + [_fmt(p.support_value)])
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack((np.arange(len(points)), [p.d for p in points],
+                             [p.X_dB for p in points],
+                             [p.support_value for p in points]))
+    # "%.17g" % v is format(v, ".17g"), as _fmt writes, for every double
+    row = "%d" + ",%.17g" * (2 * n + 1) + "\n"
+    _write_text(path, ",".join(header) + "\n"
+                + (row * len(points)) % tuple(table.ravel().tolist()))
 
 
 def cmd_metric(args) -> int:

@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reachwarp import SampleVerdict, load_config
+from reachwarp import SampleVerdict, cli, load_config
 
 E_INV = float(np.exp(-1.0))
 
@@ -340,3 +344,115 @@ def test_one_process_runs_commands_like_separate_processes(run_cli, fixture_file
         assert (code, out, err) == (done.returncode, done.stdout, done.stderr)
         assert _outputs(tmp_path / f"same{i}") == _outputs(tmp_path / f"own{i}")
     assert read_json(tmp_path / "same1" / "verdict.json")["seed"] == 42
+
+
+def _stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=cli._json_default)
+
+
+_SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                                   5e-324, 1e16])
+_FLOATS = st.floats() | _SPECIAL_FLOATS
+_INTS = st.integers(-2 ** 200, 2 ** 200)
+_TEXT = st.text(max_size=8) | st.sampled_from(["a, b", "x,\ny", "é, ü", "→ ∞"])
+_SHAPES = st.sampled_from([(), (0,), (2, 0), (3,), (2, 3, 4)])
+_ARRAYS = (hnp.arrays(np.float64, _SHAPES, elements=st.floats(-1e300, 1e300))
+           | hnp.arrays(np.float64, _SHAPES, elements=_FLOATS)
+           | hnp.arrays(np.int64, _SHAPES) | hnp.arrays(np.bool_, _SHAPES))
+_NUMPY_SCALARS = (st.builds(np.float64, _FLOATS) | st.builds(np.int64, st.integers(-5, 5))
+                  | st.builds(np.bool_, st.booleans()))
+_LEAVES = (_FLOATS | _INTS | st.booleans() | st.none() | _TEXT | _ARRAYS
+           | _NUMPY_SCALARS)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(_FLOATS | _INTS, min_size=1, max_size=6)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_equals_stdlib_text(payload):
+    assert cli._json_text(payload) == _stdlib_json(payload)
+
+
+def test_large_optimize_writes_stdlib_json(run_cli, tmp_path, monkeypatch):
+    # n = 32 with a 6-input box: 64 vertices, so 64 candidate matrices
+    rng = np.random.default_rng(32)
+    n, m = 32, 6
+    d = rng.standard_normal(n)
+    doc = {
+        "A": (-np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)).tolist(),
+        "X0": [0.0] * n, "T": 1.0,
+        "control": {"type": "box", "lo": [-1.0] * m, "hi": [1.0] * m},
+        "admissible": {"type": "frobenius_ball",
+                       "center": rng.standard_normal((n, m)).tolist(), "radius": 0.5},
+        "direction": (d / np.linalg.norm(d)).tolist(),
+        "steps": 300,
+    }
+    cfg = tmp_path / "large.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    payloads = []
+    warp_payload = cli._warp_payload
+
+    def recorded(*args):
+        payloads.append(warp_payload(*args))
+        return payloads[-1]
+
+    monkeypatch.setattr(cli, "_warp_payload", recorded)
+    code, _, _ = run_cli("optimize", "--config", cfg, "--out", tmp_path / "o")
+    assert code == 0
+    (payload,) = payloads
+    assert len(payload["candidates"]) == 64
+    text = (tmp_path / "o" / "warp_result.json").read_text(encoding="utf-8")
+    assert text == _stdlib_json(payload) + "\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("verify", "--samples", "0"), "--samples"),
+    (("boundary", "--B", "optimized", "--seed", "-1"), "--seed"),
+    (("boundary", "--B", "optimized", "--directions", "0"), "--directions"),
+    (("metric", "--B", "optimized", "--steps", "0"), "--steps"),
+], ids=("samples", "seed", "directions", "steps"))
+def test_bad_count_option_exits_two_before_any_work(run_cli, fixture_file, tmp_path,
+                                                     argv, option):
+    code, out, err = run_cli(*argv, "--config", fixture_file("oscillator"),
+                             "--out", tmp_path / "o")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+def test_unwritable_output_path_exits_two(run_cli, fixture_file, tmp_path):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("", encoding="utf-8")
+    cfg = fixture_file("diag3_theorem")
+    taken = tmp_path / "taken"
+    (taken / "warp_result.json").mkdir(parents=True)
+    for argv in (("optimize", "--config", cfg, "--out", blocker / "sub"),
+                 ("optimize", "--config", cfg, "--out", blocker),
+                 ("fixtures", "--emit", "diag3_theorem", "--out", blocker / "sub"),
+                 ("optimize", "--config", cfg, "--out", taken)):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_boundary_csv_rows_format_each_double_as_17_digits(tmp_path):
+    # every bit pattern: subnormals, NaN payloads, infinities, both zeros
+    rng = np.random.default_rng(17)
+    values = rng.integers(0, 2 ** 64, size=(50, 7), dtype=np.uint64).view(np.float64)
+    values[:4, :4] = [[0.0, -0.0, 5e-324, -5e-324], [np.inf, -np.inf, np.nan, 1e16],
+                      [1.0, -1.5, 0.1, 1e-300], [2.0 ** 53, 1e308, -1e-5, 123.0]]
+    points = [SimpleNamespace(d=row[:3], X_dB=row[3:6], support_value=row[6])
+              for row in values]
+    path = tmp_path / "sweep.csv"
+    cli._write_boundary_csv(path, points)
+    expected = ["dir_index,d_1,d_2,d_3,x_1,x_2,x_3,support_value"]
+    for idx, p in enumerate(points):
+        cells = [*p.d, *p.X_dB, p.support_value]
+        expected.append(",".join([str(idx)] + [format(float(v), ".17g") for v in cells]))
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
