@@ -159,7 +159,7 @@ def parse_config(data: dict) -> ProblemConfig:
     with _field("sense"):
         sense = _check_sense(data.get("sense", "grow"))
     steps = _int_field(data, "steps", DEFAULT_STEPS, 1)
-    directions = _int_field(data, "directions", 64 if system.n <= 2 else 400, 1)
+    directions = _int_field(data, "directions", {1: 2, 2: 64}.get(system.n, 400), 1)
     seed = _int_field(data, "seed", DEFAULT_SEED, 0)
     tol_doc = _object(data.get("tolerances", {}), "field 'tolerances'",
                       [f.name for f in fields(Tolerances)])

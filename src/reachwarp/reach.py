@@ -20,8 +20,9 @@ co-states P_k = e^{A^T h/2} R_k, which pick i_k = argmax_j P_k^T B u_j
 (ties to the lowest index), and the step weights W_k = Gamma^T R_k, which
 weigh that vertex's gain: G_d(B) = d . (X_dB - e^{AT} X0) = sum_k W_k^T B u_{i_k}
 is linear in B once the vertex sequence is fixed, and X0 drops out.  It is
-summed run by run (a run is a stretch of steps holding one vertex) with no
-state propagated, through one function for every caller.
+summed with no state propagated, through one function for every caller and
+for a whole stack of matrices at once, as a weighted sum of the products
+of B V^T with T = W^T mask, the step weights behind each picked vertex.
 
 All powers of E come from two tables of about sqrt(N) matrices each,
 E^{ab + r} = E^{ab} E^r with r < b = ceil(sqrt(N)).  X_dB, needed only as
@@ -29,7 +30,8 @@ output, is advanced run by run with E^L and S_L = sum_{i<L} E^i from them,
 which keeps G_d equal to d . (X_dB - E^N X0) up to rounding.  With
 j = N-1-k = ab + r, the score P_k^T B u_v = (d^T E^{ab}) (E^r F^T B u_v),
 F = e^{A^T h/2}, factors either way round.  G_d keeps d while B varies
-(one B per verify sample), so it caches the d-side P and W per direction.
+(verify scores B* and all its samples in one call), so it caches the d-side
+P and W per direction and scores a block of matrices with one product P X.
 Boundary points keep B and U while d varies (a sweep is a fan of
 directions), so each call builds the B-side Q_B = [E^r F^T B V^T]_{r<b}
 once and scores a direction with one product of its rows d^T E^{ab}.
@@ -58,6 +60,10 @@ DEFAULT_SEED = 42
 DEFAULT_QUAD_NODES = 4000
 
 _SCAN_BLOCK = 64
+
+# Cap on the N x k x C vertex scores of one block of k matrices in _growth: 2^16
+# doubles (512 KB per temporary) stay in cache, whatever the stack's size.
+_GROWTH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -210,26 +216,49 @@ def _score_factor(B: np.ndarray, U: ControlPolytope) -> np.ndarray:
     return B if U.is_box else B @ U.vertices.T
 
 
+def _select(scores: np.ndarray, U: ControlPolytope) -> np.ndarray:
+    """The vertex rule on the last axis of scores: a box's sign bits, bit j
+    set when (B^T P)_j > 0 (an exact zero gives 0), else the first argmax."""
+    return scores > 0.0 if U.is_box else np.argmax(scores, axis=-1)
+
+
 def _pick(scores: np.ndarray, U: ControlPolytope) -> np.ndarray:
-    """Per row of scores, the vertex maximizing P^T B u, ties to the lowest
-    index: the weighted sign bits for a box, the argmax otherwise."""
-    if U.is_box:
-        return ((scores > 0.0) @ (2.0 ** np.arange(U.m))).astype(np.intp)
-    return np.argmax(scores, axis=1)
+    """Per row of scores, the index of the vertex maximizing P^T B u."""
+    sel = _select(scores, U)
+    return (sel @ (2.0 ** np.arange(U.m))).astype(np.intp) if U.is_box else sel
 
 
-def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope) -> float:
-    """G_d(B) = sum over runs of (sum of the run's W_k)^T B u_j.
+def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
+    """G_d = sum_k W_k^T B u_{i_k} of one (n, m) B as a float, or of each
+    matrix of a (K, n, m) stack.
 
-    P and W come from _costate_tables; B is trusted to have the system's shape.
+    Blocks of at most _GROWTH_BLOCK scores are scored as S = P X, X the
+    blocks' _score_factor side by side (C columns each).  The mask of what
+    _select picks (a box's sign bits, else the one-hot vertex) gives
+    T = W^T mask, and G = sum_c coef_c <T_c, X_c> + const: a box's vertex is
+    lo + (hi - lo) bits, so coef = hi - lo and const = (sum_k W_k)^T B lo,
+    else coef = 1 and const = 0.  P and W come from _costate_tables.
     """
-    starts, vertex = _vertex_runs(_pick(P @ _score_factor(B, U), U))
-    gains = np.add.reduceat(W, starts, axis=0) @ B
-    G = float(np.sum(gains * U.vertices[vertex]))
-    if not np.isfinite(G):
+    Bs = np.reshape(B, (-1, *np.shape(B)[-2:]))
+    V, (N, n) = U.vertices, P.shape
+    if U.is_box:
+        coef, const = V[-1] - V[0], (W.sum(axis=0) @ Bs) @ V[0]
+    else:
+        coef, const = np.ones(U.num_vertices), 0.0
+    C = coef.shape[0]
+    block = max(1, _GROWTH_BLOCK // (N * C))
+    G = np.empty(len(Bs))
+    for s in range(0, len(Bs), block):
+        X = _score_factor(Bs[s:s + block], U).transpose(1, 0, 2).reshape(n, -1)
+        sel = _select((P @ X).reshape(N, -1, C), U)
+        mask = sel if U.is_box else np.take(np.eye(C), sel, axis=0)
+        T = W.T @ mask.reshape(N, -1)
+        G[s:s + block] = (T * X).reshape(n, -1, C).sum(axis=0) @ coef
+    G += const
+    if not np.all(np.isfinite(G)):
         raise NumericError("growth metric is non-finite; the dynamics overflow "
                            "the horizon")
-    return G
+    return float(G[0]) if np.ndim(B) == 2 else G
 
 
 def _costate_weights(sys: LinearSystem, d: np.ndarray, steps: int):

@@ -9,13 +9,14 @@ regime is a bug somewhere; outside that regime it is merely information.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
 from .linalg import _tolerance
 from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, _count
 from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _costate_weights,
-                    _growth, growth_metric)
+                    _growth, growth_metric)  # noqa: F401 - bench/test_bench.py reads it
 from .warp import WarpResult, optimize_B
 
 DEFAULT_SAMPLES = 1000
@@ -46,24 +47,23 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> list[n
 
     Each draw is a Gaussian direction scaled to radius * U^(1/dim) with
     dim the number of matrix entries, the standard recipe for uniform
-    sampling in a norm ball.
+    sampling in a norm ball.  The matrices are read-only views of one array.
     """
     k = _count(k, "sample count k")
     seed = _count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     dim = ball.center.size
-    out = []
-    for _ in range(k):
-        direction = rng.standard_normal(ball.center.shape)
-        nrm = float(np.linalg.norm(direction))
-        while nrm == 0.0:
-            direction = rng.standard_normal(ball.center.shape)
-            nrm = float(np.linalg.norm(direction))
-        r = ball.radius * rng.random() ** (1.0 / dim)
-        M = ball.center + (r / nrm) * direction
-        M.setflags(write=False)
-        out.append(M)
-    return out
+    directions = np.empty((k, dim))
+    scale = np.empty((k, 1))
+    for i in range(k):
+        v = rng.standard_normal(dim)
+        while (nrm := sqrt(v @ v)) == 0.0:
+            v = rng.standard_normal(dim)
+        directions[i] = v
+        scale[i] = ball.radius * rng.random() ** (1.0 / dim) / nrm
+    out = (ball.center.ravel() + scale * directions).reshape(k, *ball.center.shape)
+    out.setflags(write=False)
+    return list(out)
 
 
 def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall, d,
@@ -75,12 +75,12 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     """Try to beat the selected matrix with k uniform samples from the ball.
 
     Accepts a precomputed WarpResult to avoid re-running the selection.
-    G_star is the growth metric of its B_star at this check's step count,
-    and every sample is scored by the same co-state weighted sum, with the
-    shape checks and the co-state lookup done once for all samples, so the
-    margin compares like with like.  The verdict reduction is a plain extremum over samples,
-    with the first sample winning ties, so the outcome does not depend on
-    evaluation order.
+    G_star is the growth metric of its B_star at this check's step count.
+    B_star and every sample are scored in one call of the co-state weighted
+    sum, with the shape checks and the co-state lookup done once, so the
+    margin compares like with like.  The verdict reduction is a plain
+    extremum over samples, with the first sample winning ties, so the
+    outcome does not depend on evaluation order.
     """
     _check_sense(sense)
     tol_verify = _tolerance(tol_verify, "tol_verify")
@@ -88,9 +88,10 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     if result is None:
         result = optimize_B(sys, U, ball, d, sense, steps)
     _, dv = _check_reach_args(sys, ball.center, U, d)
-    G_star = growth_metric(sys, result.B_star, U, dv, steps).G_d
-    P, W = _costate_weights(sys, dv, int(steps))
-    values = np.array([_growth(P, W, M, U) for M in samples])
+    B_star, = _check_reach_args(sys, result.B_star, U)
+    P, W = _costate_weights(sys, dv, _count(steps, "steps"))
+    G = _growth(P, W, np.stack((B_star, *samples)), U)
+    G_star, values = G[0], G[1:]
     best = int(np.argmax(values) if sense == "grow" else np.argmin(values))
     best_G = float(values[best])
     margin = G_star - best_G if sense == "grow" else best_G - G_star

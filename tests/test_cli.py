@@ -184,6 +184,22 @@ def test_boundary_optimized_counts_grown_directions(run_cli, fixture_file, tmp_p
     assert 0 <= manifest["extras"]["directions_grown"] <= 16
 
 
+def test_boundary_one_dimensional_default_fan(run_cli, tmp_path):
+    doc = cli.fixture_config("scalar_analytic")
+    del doc["directions"]
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli("boundary", "--config", path, "--B", "optimized",
+                           "--out", out_dir)
+    assert code == 0, err
+    lines = (out_dir / "boundary_optimized.csv").read_text().strip().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["1", "-1"]
+    extras = read_json(out_dir / "manifest.json")["extras"]
+    assert extras["directions_total"] == 2
+    assert 0 <= extras["directions_grown"] <= 2
+
+
 def test_boundary_direction_and_seed_overrides(run_cli, fixture_file, tmp_path):
     out_dir = tmp_path / "few"
     code, _, _ = run_cli("boundary", "--config", fixture_file("admire_grow_p"),

@@ -62,6 +62,13 @@ def test_defaults_applied():
     assert parse_config(three).directions == 400
 
 
+def test_one_dimensional_default_directions_is_two():
+    # a 1-D fan holds only the unit directions +1 and -1
+    doc = fixture_config("scalar_analytic")
+    del doc["directions"]
+    assert parse_config(doc).directions == 2
+
+
 def test_direction_renormalized_within_tolerance():
     slightly_off = [1.0 + 5e-7, 0.0]
     cfg = parse_config(minimal_config(direction=slightly_off))

@@ -1,14 +1,16 @@
 """Boundary points, sweeps, the growth metric, and the quadrature oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachwarp import (DimensionError, DomainError, GeometryError, LinearSystem,
-                       NumericError, boundary_point, boundary_sweep, box_polytope,
-                       costate_path, direction_fan, growth_metric, mat_exp,
-                       optimize_B, parse_config, sample_ball, support_oracle,
+from reachwarp import (DimensionError, DomainError, FrobeniusBall, GeometryError,
+                       LinearSystem, NumericError, boundary_point, boundary_sweep,
+                       box_polytope, costate_path, direction_fan, growth_metric,
+                       mat_exp, optimize_B, parse_config, sample_ball, support_oracle,
                        verify_optimality, vertex_polytope, zero_input_endpoint)
 from reachwarp import reach, warp
 from reachwarp.fixtures import fixture_config, fixture_names
@@ -474,3 +476,125 @@ def test_non_box_polytopes_keep_the_vertex_argmax():
         scores = P @ _score_factor(B, V)
         assert scores.shape == (50, V.num_vertices)
         assert np.array_equal(_pick(scores, V), np.argmax(scores, axis=1))
+
+
+def _run_sum_growth(P, W, B, U):
+    # reference G_d of one matrix: the vertex argmax per step (ties to the
+    # lowest index), then (sum of each run's W_k)^T B u_j run by run
+    idx = np.argmax(P @ B @ U.vertices.T, axis=1)
+    starts = [0] + [k for k in range(1, len(idx)) if idx[k] != idx[k - 1]]
+    ends = starts[1:] + [len(idx)]
+    return sum(float(W[s:e].sum(axis=0) @ B @ U.vertices[idx[s]])
+               for s, e in zip(starts, ends))
+
+
+@st.composite
+def _growth_stacks(draw):
+    n, m, N = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 24))
+    lo = draw(st.lists(st.integers(-3, 2), min_size=m, max_size=m))
+    hi = [a + draw(st.integers(1, 3)) for a in lo]
+    U = box_polytope(lo, hi)
+    if draw(st.booleans()):
+        U = vertex_polytope(draw(st.permutations(U.vertices.tolist())))
+    K = draw(st.integers(1, 7))
+    stack = np.stack([_int_matrix(draw, n, m, zero_cols=True) for _ in range(K)])
+    return (U, _int_matrix(draw, N, n, zero_rows=True), _int_matrix(draw, N, n),
+            stack, draw(st.integers(1, 3 * N * U.num_vertices)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_growth_stacks())
+def test_stacked_growth_equals_run_sum_reference(problem):
+    # small integers keep every sum exact, so the two orders must agree exactly
+    U, P, W, stack, block = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reach, "_GROWTH_BLOCK", block)
+        G = _growth(P, W, stack, U)
+        single = _growth(P, W, stack[0], U)
+        one = _growth(P, W, stack[:1], U)
+    assert G.shape == (len(stack),)
+    assert np.array_equal(G, [_run_sum_growth(P, W, B, U) for B in stack])
+    assert isinstance(single, float) and single == one[0] == G[0]
+
+
+def _random_problem(seed, zero_in_U=False):
+    """System, unit direction, control set and ball drawn from seed; boxes
+    and vertex lists (shuffled box corners) alternate."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    T = float(rng.uniform(0.5, 2.0))
+    A = rng.standard_normal((n, n))
+    A *= float(rng.uniform(0.1, 3.0)) / (T * np.linalg.norm(A, 2))
+    shift = 0.0 if zero_in_U else rng.uniform(-1.0, 1.0, m)
+    U = box_polytope(shift - rng.uniform(0.0, 1.5, m), shift + rng.uniform(0.1, 1.5, m))
+    if seed % 2:
+        U = vertex_polytope(rng.permutation(U.vertices))
+    sys_ = LinearSystem(A=A, X0=rng.standard_normal(n), T=T, m=m)
+    d = rng.standard_normal(n)
+    ball = FrobeniusBall(center=rng.standard_normal((n, m)),
+                         radius=float(rng.uniform(0.0, 2.0)))
+    return sys_, d / np.linalg.norm(d), U, ball
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verify_growth_does_not_depend_on_initial_state(seed):
+    sys_, d, U, ball = _random_problem(seed)
+    moved = LinearSystem(A=sys_.A, X0=10.0 * sys_.X0 + 1.0, T=sys_.T, m=sys_.m)
+    a, b = (verify_optimality(s, U, ball, d, k=30, seed=seed % 1000, steps=300)
+            for s in (sys_, moved))
+    assert (a.G_star, a.best_sampled_G) == (b.G_star, b.best_sampled_G)
+    assert np.array_equal(a.best_sampled_B, b.best_sampled_B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-4, 4))
+def test_stacked_growth_is_positively_homogeneous_in_U(seed, power):
+    # scaling U by a power of two scales every score and gain exactly, so
+    # the picks and the sums are the same up to that factor, bit for bit
+    sys_, d, U, ball = _random_problem(seed)
+    alpha = 2.0 ** power
+    scaled = vertex_polytope(alpha * U.vertices)
+    assert scaled.is_box == U.is_box
+    stack = np.stack(sample_ball(ball, 25, seed=seed % 1000))
+    P, W = _costate_weights(sys_, d, 300)
+    assert np.array_equal(_growth(P, W, stack, scaled), alpha * _growth(P, W, stack, U))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_growth_nonnegative_when_zero_in_U(seed):
+    # each step's pick scores >= 0 at the step midpoint because 0 lies in U,
+    # and its gain W_k^T B u is the integral of that score over the step, so
+    # G_d falls below 0 by at most the midpoint rule's error T h^2/24 max|f''|
+    # with f'' = P^T A^2 B u, plus rounding
+    sys_, d, U, ball = _random_problem(seed, zero_in_U=True)
+    assert U.contains_zero
+    steps = 300
+    stack = np.stack(sample_ball(ball, 25, seed=seed % 1000))
+    P, W = _costate_weights(sys_, d, steps)
+    G = _growth(P, W, stack, U)
+    norm_A = np.linalg.norm(sys_.A, 2)
+    Bu = np.linalg.norm(stack @ U.vertices.T, axis=1).max(axis=1)
+    quad = sys_.T * (sys_.T / steps) ** 2 / 24.0 * norm_A ** 2 * np.exp(norm_A * sys_.T)
+    scale = np.abs(W).sum(axis=0) @ np.abs(stack) @ np.abs(U.vertices).max(axis=0)
+    assert np.all(G >= -(quad * Bu + 1e-12 * scale))
+
+
+def test_stacked_growth_scores_in_bounded_memory():
+    # 1000 samples of 16000 steps: scoring them unblocked would hold
+    # (K, N, C) = 1000 x 16000 x C doubles, 256 MB for the box (C = m = 2)
+    # and 512 MB for its vertex list (C = 4)
+    sys_ = LinearSystem(A=[[-0.5, 1.0], [-1.0, -0.2]], X0=[0.0, 0.0], T=2.0, m=2)
+    P, W = _costate_weights(sys_, np.array([1.0, 0.0]), 16000)
+    ball = FrobeniusBall(center=np.eye(2), radius=0.5)
+    stack = np.stack(sample_ball(ball, 1000, seed=5))
+    for U in (BOX2, vertex_polytope(BOX2.vertices[::-1])):
+        tracemalloc.start()
+        try:
+            G = _growth(P, W, stack, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (1000,) and np.all(np.isfinite(G))
+        assert peak <= 4 * 2**20
