@@ -97,9 +97,12 @@ class SpectrumReport:
 
 
 def mat_exp(M) -> np.ndarray:
-    """Matrix exponential e^M of a square real matrix."""
+    """Matrix exponential e^M of a square real matrix; NumericError on overflow."""
     A = as_square(M, "mat_exp argument")
-    out = scipy.linalg.expm(np.asarray(A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scipy.linalg.expm(np.asarray(A))
+    if not np.isfinite(out).all():
+        raise NumericError("matrix exponential is non-finite (overflow)")
     out.setflags(write=False)
     return out
 

@@ -10,7 +10,6 @@ from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionError, DomainError, GeometryError, NumericError
 from .linalg import as_matrix, as_square, as_vector
@@ -115,12 +114,17 @@ class ControlPolytope:
 
     @cached_property
     def is_box(self) -> bool:
-        """Whether the vertices are a box with lo = V[0] < hi = V[-1] in
-        box_polytope's binary order: row k takes hi_j where bit j of k is set."""
-        V, m = self.vertices, self.m
-        bits = (np.arange(V.shape[0])[:, None] >> np.arange(m)) & 1
-        return bool(V.shape[0] == 2 ** m and np.all(V[0] < V[-1])
-                    and np.array_equal(V, np.where(bits == 1, V[-1], V[0])))
+        """Whether V is _box_corners(V[0], V[-1]) with V[0] < V[-1] everywhere."""
+        V = self.vertices
+        return bool(V.shape[0] == 2 ** self.m and np.all(V[0] < V[-1])
+                    and np.array_equal(V, _box_corners(V[0], V[-1])))
+
+
+def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 2^m corners of the box [lo, hi] in binary order: row k takes hi_j
+    where bit j of k is set, lo_j otherwise."""
+    bits = (np.arange(2 ** lo.size)[:, None] >> np.arange(lo.size)) & 1
+    return np.where(bits == 1, hi, lo)
 
 
 def _dedup_rows(V: np.ndarray) -> np.ndarray:
@@ -148,14 +152,9 @@ def box_polytope(lo, hi) -> ControlPolytope:
         raise DimensionError(f"lo has shape {lo_v.shape} but hi has shape {hi_v.shape}")
     if np.any(lo_v > hi_v):
         raise GeometryError("box bounds inverted: lo must not exceed hi componentwise")
-    m = lo_v.shape[0]
-    verts = np.empty((2 ** m, m))
-    for k in range(2 ** m):
-        pick_hi = np.array([(k >> j) & 1 for j in range(m)], dtype=bool)
-        verts[k] = np.where(pick_hi, hi_v, lo_v)
-    verts = _dedup_rows(verts)
     contains_zero = bool(np.all((lo_v <= 0.0) & (hi_v >= 0.0)))
-    return ControlPolytope(m=m, vertices=verts, contains_zero=contains_zero)
+    return ControlPolytope(m=lo_v.shape[0], vertices=_dedup_rows(_box_corners(lo_v, hi_v)),
+                           contains_zero=contains_zero)
 
 
 def vertex_polytope(vertices) -> ControlPolytope:
@@ -173,6 +172,7 @@ def vertex_polytope(vertices) -> ControlPolytope:
 
 def _hull_contains_zero(V: np.ndarray) -> bool:
     # feasibility of: lambda >= 0, sum lambda = 1, V^T lambda = 0
+    from scipy.optimize import linprog  # here: only vertex lists pay its 0.2 s import
     N, m = V.shape
     A_eq = np.vstack([V.T, np.ones((1, N))])
     b_eq = np.zeros(m + 1)

@@ -9,7 +9,6 @@ regime is a bug somewhere; outside that regime it is merely information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -42,28 +41,27 @@ class SampleVerdict:
     tol_verify: float
 
 
-def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
-    """k matrices drawn uniformly from the Frobenius ball, deterministically.
+def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """k matrices drawn uniformly from the Frobenius ball, deterministically,
+    as one read-only (k, n, m) array.
 
-    Each draw is a Gaussian direction scaled to radius * U^(1/dim) with
-    dim the number of matrix entries, the standard recipe for uniform
-    sampling in a norm ball.  The matrices are read-only views of one array.
+    Each draw is a Gaussian direction scaled to radius * U^(1/dim) with dim
+    the number of matrix entries (Muller's recipe for a norm ball).  One
+    generator call draws all directions and one all radii; a direction that
+    is exactly zero is redrawn from the same generator.
     """
     k = _count(k, "sample count k")
     seed = _count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     dim = ball.center.size
-    directions = np.empty((k, dim))
-    scale = np.empty((k, 1))
-    for i in range(k):
-        v = rng.standard_normal(dim)
-        while (nrm := sqrt(v @ v)) == 0.0:
-            v = rng.standard_normal(dim)
-        directions[i] = v
-        scale[i] = ball.radius * rng.random() ** (1.0 / dim) / nrm
-    out = (ball.center.ravel() + scale * directions).reshape(k, *ball.center.shape)
+    directions = rng.standard_normal((k, dim))
+    radii = ball.radius * rng.random(k) ** (1.0 / dim)
+    while len(zero := np.flatnonzero(~directions.any(axis=1))):
+        directions[zero] = rng.standard_normal((len(zero), dim))
+    scale = radii / np.linalg.norm(directions, axis=1)
+    out = (ball.center.ravel() + scale[:, None] * directions).reshape(k, *ball.center.shape)
     out.setflags(write=False)
-    return list(out)
+    return out
 
 
 def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall, d,
@@ -75,12 +73,11 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     """Try to beat the selected matrix with k uniform samples from the ball.
 
     Accepts a precomputed WarpResult to avoid re-running the selection.
-    G_star is the growth metric of its B_star at this check's step count.
-    B_star and every sample are scored in one call of the co-state weighted
-    sum, with the shape checks and the co-state lookup done once, so the
-    margin compares like with like.  The verdict reduction is a plain
-    extremum over samples, with the first sample winning ties, so the
-    outcome does not depend on evaluation order.
+    G_star, the growth metric of its B_star at this check's step count, is
+    the same call of the co-state weighted sum that growth_metric makes, so
+    it equals optimize_B's G_optimized bit for bit; a second call scores the
+    sample array.  The verdict is a plain extremum over samples, the first
+    sample winning ties, so it does not depend on evaluation order.
     """
     _check_sense(sense)
     tol_verify = _tolerance(tol_verify, "tol_verify")
@@ -90,12 +87,12 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     _, dv = _check_reach_args(sys, ball.center, U, d)
     B_star, = _check_reach_args(sys, result.B_star, U)
     P, W = _costate_weights(sys, dv, _count(steps, "steps"))
-    G = _growth(P, W, np.stack((B_star, *samples)), U)
-    G_star, values = G[0], G[1:]
+    G_star = _growth(P, W, B_star, U)
+    values = _growth(P, W, samples, U)
     best = int(np.argmax(values) if sense == "grow" else np.argmin(values))
     best_G = float(values[best])
     margin = G_star - best_G if sense == "grow" else best_G - G_star
-    return SampleVerdict(samples=int(k), best_sampled_G=best_G,
-                         best_sampled_B=samples[best], G_star=float(G_star),
-                         margin=float(margin), passed=bool(margin >= -tol_verify),
+    return SampleVerdict(samples=len(samples), best_sampled_G=best_G,
+                         best_sampled_B=samples[best], G_star=G_star,
+                         margin=margin, passed=bool(margin >= -tol_verify),
                          tol_verify=tol_verify)

@@ -284,6 +284,23 @@ def test_numeric_overflow_exits_three(run_cli, tmp_path):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [("optimize",), ("verify", "--samples", "20"),
+                                  ("metric", "--B", "optimized")])
+def test_overflowing_exponential_exits_three(run_cli, tmp_path, argv):
+    # e^{AT} = e^1000 overflows before any gradient or sample is formed
+    doc = {
+        "A": [[50.0]], "X0": [0.0], "T": 20.0,
+        "control": {"type": "box", "lo": [-1.0], "hi": [1.0]},
+        "admissible": {"type": "frobenius_ball", "center": [[1.0]], "radius": 0.1},
+        "direction": [1.0], "steps": 200,
+    }
+    cfg = tmp_path / "explosive.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(*argv, "--config", cfg, "--out", tmp_path / "e")
+    assert code == 3
+    assert "numerical failure" in err
+
+
 def test_steps_override_recorded(run_cli, fixture_file, tmp_path):
     out_dir = tmp_path / "s"
     code, _, _ = run_cli("metric", "--config", fixture_file("scalar_analytic"),

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from reachwarp import (DimensionError, DomainError, LinearSystem, PreconditionError,
-                       boundary_point, box_polytope, eigvec_residual, mat_exp,
-                       spectrum)
+from reachwarp import (DimensionError, DomainError, LinearSystem, NumericError,
+                       PreconditionError, boundary_point, box_polytope, eigvec_residual,
+                       mat_exp, spectrum)
 from reachwarp.linalg import as_matrix, as_square, as_vector
 
 from conftest import quadratic_roots, series_exp
@@ -187,3 +187,10 @@ def test_eigvec_residual_orthogonal_eigenbasis():
 def test_eigvec_residual_requires_unit_norm():
     with pytest.raises(PreconditionError):
         eigvec_residual(np.eye(2), [1.0, 1.0])
+
+
+def test_mat_exp_overflow_raises_numeric_error():
+    with pytest.raises(NumericError, match="non-finite"):
+        mat_exp(np.array([[1000.0]]))
+    with pytest.raises(NumericError):
+        mat_exp(np.array([[0.0, 800.0], [800.0, 0.0]]))

@@ -193,3 +193,35 @@ def test_box_detection_follows_binary_vertex_order():
     assert not vertex_polytope([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [2.0, 2.0]]).is_box
     assert ControlPolytope(m=1, vertices=[[-1.0], [1.0]], contains_zero=True).is_box
     assert not ControlPolytope(m=1, vertices=[[1.0], [-1.0]], contains_zero=True).is_box
+
+
+def test_box_vertices_equal_per_vertex_enumeration():
+    # reference: the per-vertex binary-counting loop, exact duplicates dropped
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m = int(rng.integers(1, 7))
+        lo = np.where(rng.random(m) < 0.2, -0.0, rng.uniform(-1.0, 0.0, size=m))
+        hi = np.where(rng.random(m) < 0.3, lo, rng.uniform(0.0, 1.0, size=m))
+        hi[(lo == 0.0) & (rng.random(m) < 0.5)] = 0.0
+        rows, seen = [], set()
+        for k in range(2 ** m):
+            row = np.where([(k >> j) & 1 for j in range(m)], hi, lo)
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                rows.append(row)
+        V = box_polytope(lo, hi).vertices
+        assert V.dtype == np.float64
+        assert V.tobytes() == np.array(rows).tobytes()
+
+
+def test_box_detection_counts_rows_before_building_corners(monkeypatch):
+    from reachwarp import model
+
+    def refuse(lo, hi):
+        raise AssertionError("corners built for a vertex count that is not 2^m")
+
+    monkeypatch.setattr(model, "_box_corners", refuse)
+    assert not vertex_polytope([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]]).is_box
+    wide = ControlPolytope(m=40, vertices=np.vstack([-np.ones(40), np.ones(40)]),
+                           contains_zero=True)
+    assert not wide.is_box

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from reachwarp import (DomainError, FrobeniusBall, LinearSystem, ball_contains,
-                       box_polytope, optimize_B, sample_ball, verify_optimality)
+                       box_polytope, optimize_B, parse_config, sample_ball,
+                       verify_optimality)
+from reachwarp.fixtures import fixture_config, fixture_names
 
 SCALAR_SYS = LinearSystem(A=[[-1.0]], X0=[0.0], T=1.0, m=1)
 
@@ -128,3 +130,60 @@ def test_verify_rejects_bad_sense_with_precomputed_result():
     with pytest.raises(DomainError):
         verify_optimality(SCALAR_SYS, SCALAR_BOX, SCALAR_BALL, [1.0],
                           sense="both", k=10, result=grow)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_g_star_equals_optimized_metric_exactly(name):
+    problem = parse_config(fixture_config(name))
+    args = (problem.system, problem.control, problem.ball, problem.direction)
+    for steps in (problem.steps, 500):
+        result = optimize_B(*args, sense=problem.sense, steps=steps)
+        verdict = verify_optimality(*args, sense=problem.sense, k=50, seed=1,
+                                    steps=steps, result=result)
+        assert verdict.G_star == result.G_optimized
+
+
+def test_sample_ball_is_one_read_only_array():
+    ball = FrobeniusBall(center=np.array([[1.0, -2.0], [0.5, 0.0], [0.0, 3.0]]),
+                         radius=0.8)
+    samples = sample_ball(ball, 40, seed=11)
+    assert isinstance(samples, np.ndarray)
+    assert samples.shape == (40, 3, 2)
+    assert not samples.flags.writeable
+    assert np.array_equal(samples, sample_ball(ball, 40, seed=11))
+    assert not np.array_equal(samples, sample_ball(ball, 40, seed=12))
+    assert all(ball_contains(ball, M) for M in samples)
+
+
+@pytest.mark.parametrize("zero_rows", [(), (0, 3)])
+def test_sample_ball_draws_in_bulk_and_redraws_zero_directions(monkeypatch, zero_rows):
+    calls = []
+
+    class Stub:
+        """default_rng whose first direction batch has the given rows zeroed."""
+
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, shape):
+            draw = self.rng.standard_normal(shape)
+            if not calls:
+                draw[list(zero_rows)] = 0.0
+            calls.append(("standard_normal", shape))
+            return draw
+
+        def random(self, size):
+            calls.append(("random", size))
+            return self.rng.random(size)
+
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", Stub)
+    ball = FrobeniusBall(center=np.zeros((2, 2)), radius=1.0)
+    samples = sample_ball(ball, 5, seed=3)
+    expected = [("standard_normal", (5, 4)), ("random", 5)]
+    if zero_rows:
+        expected.append(("standard_normal", (len(zero_rows), 4)))
+    assert calls == expected
+    assert np.all(np.isfinite(samples))
+    assert np.all(np.linalg.norm(samples, axis=(1, 2)) <= 1.0 + 1e-15)
+    assert all(np.any(samples[i] != 0.0) for i in zero_rows)
