@@ -5,7 +5,11 @@ points to CSV), metric (print one growth metric), verify (sampled
 optimality check), fixtures (list or emit built-in problems).  Every
 computing command writes a manifest.json next to its outputs recording the
 configuration echo, package version, assumption regime, wall-clock time
-and produced files.
+and produced files.  JSON outputs are json.dumps(..., indent=2,
+sort_keys=True) text.  warp_result.json lists each candidate's index and
+objective but not its matrix, which is
+ball_argmax(FrobeniusBall(C, r), outer(P0, u_i)) from the written P0 and the
+echoed configuration.
 
 Exit codes: 0 success, 1 failed verification in the theorem regime,
 2 malformed configuration or options, dimension mismatch or an unwritable
@@ -46,56 +50,6 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default)
-
-
-def _json_block(items, level: int, brackets: str = "[]") -> str:
-    """A JSON array (or object, with brackets "{}") of already-encoded
-    items, laid out as indent=2 would."""
-    pad = "\n" + "  " * (level + 1)
-    return (brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level
-            + brackets[1])
-
-
-def _json_text(obj, level: int = 0) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, default=_json_default) for
-    obj nested level deep, with numbers formatted in bulk.
-
-    With indent set, json encodes every number in Python, one call at a
-    time.  Here a finite float64 array, or a non-empty list of plain ints
-    and finite floats, is one %-format of a template laid out by shape with
-    a %r (the repr json uses) per number, and a plain int or finite float
-    is its repr.  Everything else (strings, bools, None, non-finite
-    numbers, other arrays, numpy scalars, empty containers, dicts with
-    non-str keys) goes to the json encoder itself.  Its output has newlines
-    only between elements, so indenting them places it at any depth.
-    """
-    kind = type(obj)
-    if kind is dict and obj and all(type(key) is str for key in obj):
-        items = [_ENCODER.encode(key) + ": " + _json_text(obj[key], level + 1)
-                 for key in sorted(obj)]
-        return _json_block(items, level, "{}")
-    # repr spells only the non-finite floats, nan and inf, with an "n"
-    if kind is np.ndarray and obj.dtype == np.float64 and obj.size and obj.ndim:
-        template = "%r"
-        for depth in range(obj.ndim - 1, -1, -1):
-            template = _json_block([template] * obj.shape[depth], level + depth)
-        text = template % tuple(obj.ravel().tolist())
-        if "n" not in text:
-            return text
-    elif (kind is list or kind is tuple) and obj:
-        if set(map(type, obj)) <= {int, float}:
-            text = _json_block(["%r"] * len(obj), level) % tuple(obj)
-            if "n" not in text:
-                return text
-        return _json_block([_json_text(item, level + 1) for item in obj], level)
-    elif kind is float or kind is int:
-        text = repr(obj)
-        if "n" not in text:
-            return text
-    return _ENCODER.encode(obj).replace("\n", "\n" + "  " * level)
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
@@ -104,7 +58,9 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, _json_text(payload) + "\n")
+    """payload as 2-space indented JSON with sorted keys and a final newline."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                 default=_json_default) + "\n")
 
 
 def _warn(message: str) -> None:
@@ -170,10 +126,6 @@ def _manifest(out: Path, command: str, problem: ProblemConfig, regime: str,
     _write_json(out / "manifest.json", payload)
 
 
-def _candidate_entry(cand) -> dict:
-    return {"index": cand.index, "B": cand.B, "objective": cand.objective}
-
-
 def _warp_payload(result: WarpResult, steps: int) -> dict:
     report = result.report
     return {
@@ -195,7 +147,8 @@ def _warp_payload(result: WarpResult, steps: int) -> dict:
         "degenerate": result.degenerate,
         "G_nominal": result.G_nominal,
         "G_optimized": result.G_optimized,
-        "candidates": [_candidate_entry(c) for c in result.candidates],
+        "candidates": [{"index": c.index, "objective": c.objective}
+                       for c in result.candidates],
     }
 
 

@@ -151,6 +151,7 @@ def _power_tables(a_key: bytes, n: int, h: float, steps: int):
     S_{ab} for ab <= steps, where S_L = sum_{i<L} E^i.  Any power is then
     E^{ab + r} = E^{ab} E^r, and a run of L = ab + r equal steps with step
     input c maps x to E^{ab} (E^r x + S_r c) + S_{ab} c = E^L x + S_L c.
+    Raises NumericError, with no numpy warning, when a table overflows.
     """
     E, _, _ = _step_matrices(a_key, n, h)
     b = _power_block(steps)
@@ -159,20 +160,24 @@ def _power_tables(a_key: bytes, n: int, h: float, steps: int):
     Sr = np.empty((b, n, n))
     Er[0] = eye
     Sr[0] = 0.0
-    for r in range(1, b):
-        Er[r] = E @ Er[r - 1]
-        Sr[r] = eye + E @ Sr[r - 1]
-    Eb = E @ Er[b - 1]
-    Sb = eye + E @ Sr[b - 1]
     count = steps // b + 1
     Eab = np.empty((count, n, n))
     Sab = np.empty((count, n, n))
     Eab[0] = eye
     Sab[0] = 0.0
-    for a in range(1, count):
-        Eab[a] = Eb @ Eab[a - 1]
-        Sab[a] = Sab[a - 1] + Eab[a - 1] @ Sb
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, b):
+            Er[r] = E @ Er[r - 1]
+            Sr[r] = eye + E @ Sr[r - 1]
+        Eb = E @ Er[b - 1]
+        Sb = eye + E @ Sr[b - 1]
+        for a in range(1, count):
+            Eab[a] = Eb @ Eab[a - 1]
+            Sab[a] = Sab[a - 1] + Eab[a - 1] @ Sb
     for M in (Er, Sr, Eab, Sab):
+        if not np.all(np.isfinite(M)):
+            raise NumericError("powers of the step matrix overflow; the dynamics "
+                               "overflow the horizon")
         M.setflags(write=False)
     return Er, Sr, Eab, Sab
 

@@ -3,15 +3,14 @@
 import json
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from reachwarp import SampleVerdict, cli, load_config
+from reachwarp import (SampleVerdict, ball_argmax, cli, fixture_config, fixture_names,
+                       load_config, optimize_B, parse_config)
 
 E_INV = float(np.exp(-1.0))
 
@@ -74,6 +73,33 @@ def test_optimize_scalar_outputs(run_cli, fixture_file, tmp_path):
     assert manifest["regime"] == "theorem"
     assert manifest["config"] == read_json(cfg)
     assert manifest["wall_clock_s"] >= 0.0
+
+
+def _zero_vertex_config() -> dict:
+    doc = fixture_config("diag3_theorem")
+    doc["control"] = {"type": "vertices", "list": [[1.0, 0.5], [0.0, 0.0], [-1.0, 1.0]]}
+    return doc
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), "zero_vertex"])
+def test_candidate_matrices_follow_from_P0_and_config(run_cli, tmp_path, name):
+    doc = _zero_vertex_config() if name == "zero_vertex" else fixture_config(name)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, _ = run_cli("optimize", "--config", cfg, "--out", tmp_path / "o")
+    assert code == 0
+    written = read_json(tmp_path / "o" / "warp_result.json")
+    problem = parse_config(read_json(tmp_path / "o" / "manifest.json")["config"])
+    result = optimize_B(problem.system, problem.control, problem.ball,
+                        problem.direction, problem.sense, problem.steps)
+    assert written["candidates"] == [{"index": c.index, "objective": c.objective}
+                                     for c in result.candidates]
+    P0 = np.array(written["P0"])
+    for u, cand in zip(problem.control.vertices, result.candidates):
+        B = ball_argmax(problem.ball, np.outer(P0, u))
+        np.testing.assert_allclose(B, cand.B, rtol=1e-15, atol=0.0)
+        if not u.any():
+            assert np.array_equal(B, problem.ball.center)
 
 
 def test_optimize_warns_outside_theorem_regime(run_cli, fixture_file, tmp_path):
@@ -301,6 +327,27 @@ def test_overflowing_exponential_exits_three(run_cli, tmp_path, argv):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command", ["metric", "boundary"])
+def test_overflowing_power_tables_exit_three_without_warnings(run_cli, tmp_path,
+                                                              command):
+    # E = e^{Ah} = e^5 is finite, but its powers up to e^1000 overflow the tables
+    doc = {
+        "A": [[50.0]], "X0": [0.0], "T": 20.0,
+        "control": {"type": "box", "lo": [-1.0], "hi": [1.0]},
+        "admissible": {"type": "frobenius_ball", "center": [[1.0]], "radius": 0.1},
+        "direction": [1.0], "steps": 200,
+    }
+    cfg = tmp_path / "explosive.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code, _, err = run_cli(command, "--config", cfg, "--out", tmp_path / "e")
+        assert code == 3
+        assert "numerical failure" in err
+        assert caught == []
+
+
 def test_steps_override_recorded(run_cli, fixture_file, tmp_path):
     out_dir = tmp_path / "s"
     code, _, _ = run_cli("metric", "--config", fixture_file("scalar_analytic"),
@@ -381,34 +428,6 @@ def test_one_process_runs_commands_like_separate_processes(run_cli, fixture_file
 
 def _stdlib_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=cli._json_default)
-
-
-_SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
-                                   5e-324, 1e16])
-_FLOATS = st.floats() | _SPECIAL_FLOATS
-_INTS = st.integers(-2 ** 200, 2 ** 200)
-_TEXT = st.text(max_size=8) | st.sampled_from(["a, b", "x,\ny", "é, ü", "→ ∞"])
-_SHAPES = st.sampled_from([(), (0,), (2, 0), (3,), (2, 3, 4)])
-_ARRAYS = (hnp.arrays(np.float64, _SHAPES, elements=st.floats(-1e300, 1e300))
-           | hnp.arrays(np.float64, _SHAPES, elements=_FLOATS)
-           | hnp.arrays(np.int64, _SHAPES) | hnp.arrays(np.bool_, _SHAPES))
-_NUMPY_SCALARS = (st.builds(np.float64, _FLOATS) | st.builds(np.int64, st.integers(-5, 5))
-                  | st.builds(np.bool_, st.booleans()))
-_LEAVES = (_FLOATS | _INTS | st.booleans() | st.none() | _TEXT | _ARRAYS
-           | _NUMPY_SCALARS)
-_PAYLOADS = st.recursive(
-    _LEAVES,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.lists(_FLOATS | _INTS, min_size=1, max_size=6)
-                   | st.dictionaries(_TEXT, inner, max_size=4)
-                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
-    max_leaves=20)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_PAYLOADS)
-def test_json_writer_equals_stdlib_text(payload):
-    assert cli._json_text(payload) == _stdlib_json(payload)
 
 
 def test_large_optimize_writes_stdlib_json(run_cli, tmp_path, monkeypatch):
