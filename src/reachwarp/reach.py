@@ -11,7 +11,8 @@ exponentials.
 Discretization: the horizon is split into N equal steps of length h and
 step k holds the vertex u_{i_k} chosen from the adjoint at the step
 midpoint.  With E = e^{Ah} and Gamma = int_0^h e^{As} ds, both from one
-augmented matrix exponential cached per (A, h), the exact step map gives
+augmented matrix exponential and held, with every other table of the step
+grid, by one cached _Grid per (A, T, steps), the exact step map gives
 
     X_dB = E^N X0 + sum_k E^{N-1-k} Gamma B u_{i_k}.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from numbers import Real
 
 import numpy as np
 
@@ -76,10 +78,9 @@ class CostatePath:
 
     def at(self, t: float) -> np.ndarray:
         """Adjoint value P(t) for t in [0, T]."""
-        t = float(t)
-        if not 0.0 <= t <= self.T:
-            raise DomainError(f"t must lie in [0, {self.T}], got {t}")
-        return mat_exp(self.A.T * (self.T - t)) @ self.d
+        if not (isinstance(t, Real) and 0.0 <= t <= self.T):
+            raise DomainError(f"t must lie in [0, {self.T}], got {t!r}")
+        return mat_exp(self.A.T * (self.T - float(t))) @ self.d
 
 
 def costate_path(sys: LinearSystem, d) -> CostatePath:
@@ -115,56 +116,75 @@ class GrowthReport:
     B: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _step_matrices(a_key: bytes, n: int, h: float):
-    """Per-(A, h) step data: e^{Ah}, Gamma(h) = int_0^h e^{As} ds, and the
-    adjoint half step e^{A^T h/2}."""
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The step grid of one (A, T, steps), built by _grid: h = T / steps,
+    E = e^{Ah}, Gam = int_0^h e^{As} ds, the adjoint half step
+    F = e^{A^T h/2}, and two-level tables of the powers of E up to E^steps.
+
+    With b = ceil(sqrt(steps)): Er[r] = E^r and Sr[r] = S_r for r < b, and
+    Eab[a] = E^{ab} and Sab[a] = S_{ab} for ab <= steps, where
+    S_L = sum_{i<L} E^i.  Any power is then E^{ab + r} = E^{ab} E^r, and a
+    run of L = ab + r equal steps with step input c maps x to
+    E^{ab} (E^r x + S_r c) + S_{ab} c = E^L x + S_L c.
+    """
+
+    steps: int
+    h: float
+    E: np.ndarray
+    Gam: np.ndarray
+    F: np.ndarray
+    Er: np.ndarray
+    Sr: np.ndarray
+    Eab: np.ndarray
+    Sab: np.ndarray
+
+    # One cache serves every grid, keyed by d and the grid's identity (eq=False).
+    # One command touches one key, and the benchmark's verify workload rotates
+    # four.  Each entry holds N x n P and W tables (8 MB at n = 32, N = 16000)
+    # and keeps its grid alive; more entries hold memory no command reads again.
+    @lru_cache(maxsize=8)
+    def costates(self, d_key: bytes):
+        """Midpoint co-states P and step weights W of every step for the
+        direction d with bytes d_key, as read-only arrays.
+
+        The end-of-step co-state of step k is R_k = (E^T)^j d with
+        j = steps - 1 - k.  Writing j = ab + r, R_k^T = (d^T E^{ab}) E^r, so
+        the whole backward scan is one product of the rows d^T E^{ab} with
+        the power table E^r.  Row k of P is F R_k, row k of W is Gam^T R_k.
+        """
+        d = np.frombuffer(d_key, dtype=float)
+        n = d.shape[0]
+        rows = (d @ self.Eab) @ self.Er.transpose(1, 0, 2).reshape(n, -1)
+        R = rows.reshape(-1, n)[self.steps - 1::-1]
+        P = R @ self.F.T
+        W = R @ self.Gam
+        P.setflags(write=False)
+        W.setflags(write=False)
+        return P, W
+
+
+@lru_cache(maxsize=8)
+def _build_grid(a_key: bytes, n: int, T: float, steps: int) -> _Grid:
+    """_Grid of one (A, T, steps); NumericError, with no numpy warning, on overflow."""
     A = np.frombuffer(a_key, dtype=float).reshape(n, n)
+    h = T / steps
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = A * h
     aug[:n, n:] = np.eye(n) * h
     EG = np.asarray(mat_exp(aug))
     E = EG[:n, :n].copy()
     Gam = EG[:n, n:].copy()
-    Fh = np.asarray(mat_exp(A.T * (h / 2.0))).copy()
-    for M in (E, Gam, Fh):
-        M.setflags(write=False)
-    return E, Gam, Fh
-
-
-@lru_cache(maxsize=16)
-def _flow(a_key: bytes, n: int, T: float) -> np.ndarray:
-    """Drift-only transition e^{AT}, one exponential per (A, T)."""
-    return mat_exp(np.frombuffer(a_key, dtype=float).reshape(n, n) * T)
-
-
-def _power_block(steps: int) -> int:
-    """Block length b = ceil(sqrt(steps)) of the two-level power tables."""
-    return isqrt(steps - 1) + 1
-
-
-@lru_cache(maxsize=8)
-def _power_tables(a_key: bytes, n: int, h: float, steps: int):
-    """Two-level tables of the powers of E = e^{Ah} up to E^steps.
-
-    With b = _power_block(steps): E^r and S_r for r < b, and E^{ab} and
-    S_{ab} for ab <= steps, where S_L = sum_{i<L} E^i.  Any power is then
-    E^{ab + r} = E^{ab} E^r, and a run of L = ab + r equal steps with step
-    input c maps x to E^{ab} (E^r x + S_r c) + S_{ab} c = E^L x + S_L c.
-    Raises NumericError, with no numpy warning, when a table overflows.
-    """
-    E, _, _ = _step_matrices(a_key, n, h)
-    b = _power_block(steps)
+    F = mat_exp(A.T * (h / 2.0))
+    b = isqrt(steps - 1) + 1
     eye = np.eye(n)
     Er = np.empty((b, n, n))
-    Sr = np.empty((b, n, n))
+    Sr = np.zeros((b, n, n))
     Er[0] = eye
-    Sr[0] = 0.0
     count = steps // b + 1
     Eab = np.empty((count, n, n))
-    Sab = np.empty((count, n, n))
+    Sab = np.zeros((count, n, n))
     Eab[0] = eye
-    Sab[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, b):
             Er[r] = E @ Er[r - 1]
@@ -178,35 +198,20 @@ def _power_tables(a_key: bytes, n: int, h: float, steps: int):
         if not np.all(np.isfinite(M)):
             raise NumericError("powers of the step matrix overflow; the dynamics "
                                "overflow the horizon")
+    for M in (E, Gam, Er, Sr, Eab, Sab):
         M.setflags(write=False)
-    return Er, Sr, Eab, Sab
+    return _Grid(steps, h, E, Gam, F, Er, Sr, Eab, Sab)
 
 
-# One command touches one (A, d, T, steps) key, and the benchmark's verify
-# workload rotates four.  Each entry holds N x n P and W tables (8 MB at
-# n = 32, N = 16000); more entries hold memory no command reads again.
-@lru_cache(maxsize=8)
-def _costate_tables(a_key: bytes, n: int, d_key: bytes, T: float, steps: int):
-    """Midpoint co-states P and step weights W of every step.
+def _grid(sys: LinearSystem, steps: int) -> _Grid:
+    """The cached _Grid of the system's (A, T) at this step count."""
+    return _build_grid(sys.A.tobytes(), sys.n, sys.T, steps)
 
-    The end-of-step co-state of step k is R_k = (E^T)^j d with
-    j = steps - 1 - k.  Writing j = ab + r, R_k^T = (d^T E^{ab}) E^r, so the
-    whole backward scan is one product of the rows d^T E^{ab} with the
-    power table E^r.  Row k of P is e^{A^T h/2} R_k, row k of W is
-    Gamma^T R_k.
-    """
-    d = np.frombuffer(d_key, dtype=float)
-    h = T / steps
-    _, Gam, Fh = _step_matrices(a_key, n, h)
-    Er, _, Eab, _ = _power_tables(a_key, n, h, steps)
-    b = Er.shape[0]
-    rows = (d @ Eab) @ Er.transpose(1, 0, 2).reshape(n, b * n)
-    R = rows.reshape(-1, n)[steps - 1::-1]
-    P = R @ Fh.T
-    W = R @ Gam
-    P.setflags(write=False)
-    W.setflags(write=False)
-    return P, W
+
+@lru_cache(maxsize=16)
+def _flow(a_key: bytes, n: int, T: float) -> np.ndarray:
+    """Drift-only transition e^{AT}, one exponential per (A, T)."""
+    return mat_exp(np.frombuffer(a_key, dtype=float).reshape(n, n) * T)
 
 
 def _vertex_runs(idx: np.ndarray):
@@ -242,7 +247,7 @@ def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
     _select picks (a box's sign bits, else the one-hot vertex) gives
     T = W^T mask, and G = sum_c coef_c <T_c, X_c> + const: a box's vertex is
     lo + (hi - lo) bits, so coef = hi - lo and const = (sum_k W_k)^T B lo,
-    else coef = 1 and const = 0.  P and W come from _costate_tables.
+    else coef = 1 and const = 0.  P and W come from _Grid.costates.
     """
     Bs = np.reshape(B, (-1, *np.shape(B)[-2:]))
     V, (N, n) = U.vertices, P.shape
@@ -266,11 +271,6 @@ def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
     return float(G[0]) if np.ndim(B) == 2 else G
 
 
-def _costate_weights(sys: LinearSystem, d: np.ndarray, steps: int):
-    """(P, W) tables of _costate_tables for a validated unit direction d."""
-    return _costate_tables(sys.A.tobytes(), sys.n, d.tobytes(), sys.T, steps)
-
-
 def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, *directions):
     """Check B (or a ball center) is an (n, m) matrix, U has the system's
     input dimension and each direction is a unit vector of length n; return
@@ -289,29 +289,25 @@ def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, directions,
            steps: int) -> list[BoundaryPoint]:
     """Boundary points of checked directions through the B-side table Q_B;
     each direction's vertex picks come in j order, reversed into step order."""
-    n, V = sys.n, U.vertices
-    h = sys.T / steps
-    a_key = sys.A.tobytes()
-    _, Gam, Fh = _step_matrices(a_key, n, h)
-    Er, Sr, Eab, Sab = _power_tables(a_key, n, h, steps)
-    b = Er.shape[0]
+    n, V, g = sys.n, U.vertices, _grid(sys, steps)
+    b = g.Er.shape[0]
     factor = _score_factor(Bm, U)
-    Q = (Er @ (Fh.T @ factor)).transpose(1, 0, 2).reshape(n, -1)
+    Q = (g.Er @ (g.F.T @ factor)).transpose(1, 0, 2).reshape(n, -1)
     points = []
     for d in directions:
-        scores = ((d @ Eab) @ Q).reshape(-1, factor.shape[1])[:steps]
+        scores = ((d @ g.Eab) @ Q).reshape(-1, factor.shape[1])[:steps]
         starts, vertex = _vertex_runs(_pick(scores, U)[::-1])
-        inputs = (Gam @ (Bm @ V[vertex].T)).T
+        inputs = (g.Gam @ (Bm @ V[vertex].T)).T
         lengths = np.diff(np.append(starts, steps))
         x = np.array(sys.X0, dtype=float)
         for L, c in zip(lengths, inputs):
             a, r = divmod(int(L), b)
-            x = Eab[a] @ (Er[r] @ x + Sr[r] @ c) + Sab[a] @ c
+            x = g.Eab[a] @ (g.Er[r] @ x + g.Sr[r] @ c) + g.Sab[a] @ c
         if not np.all(np.isfinite(x)):
             raise NumericError("propagated state is non-finite; the dynamics overflow "
                                "the horizon")
         x.setflags(write=False)
-        switches = tuple((float(s * h), int(j)) for s, j in zip(starts, vertex))
+        switches = tuple((float(s * g.h), int(j)) for s, j in zip(starts, vertex))
         points.append(BoundaryPoint(d=d, X_dB=x, support_value=float(d @ x),
                                     switch_times=switches, steps=steps))
     return points
@@ -332,8 +328,14 @@ def boundary_point(sys: LinearSystem, B, U: ControlPolytope, d,
 
 
 def zero_input_endpoint(sys: LinearSystem) -> np.ndarray:
-    """Endpoint e^{AT} X0 of the drift-only trajectory (u = 0)."""
-    return _flow(sys.A.tobytes(), sys.n, sys.T) @ sys.X0
+    """Endpoint e^{AT} X0 of the drift-only trajectory (u = 0); raises
+    NumericError, with no numpy warning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0 = _flow(sys.A.tobytes(), sys.n, sys.T) @ sys.X0
+    if not np.all(np.isfinite(c0)):
+        raise NumericError("drift endpoint is non-finite; the dynamics overflow "
+                           "the horizon")
+    return c0
 
 
 def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
@@ -349,10 +351,7 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
     steps = _count(steps, "steps")
     bp = boundary_point(sys, Bm, U, dv, steps)
     c0 = zero_input_endpoint(sys)
-    if not np.all(np.isfinite(c0)):
-        raise NumericError("drift endpoint is non-finite; the dynamics overflow "
-                           "the horizon")
-    G = _growth(*_costate_weights(sys, dv, steps), Bm, U)
+    G = _growth(*_grid(sys, steps).costates(dv.tobytes()), Bm, U)
     return GrowthReport(G_d=G, c0=c0, X_dB=bp.X_dB, B=Bm)
 
 
@@ -417,6 +416,7 @@ def support_oracle(sys: LinearSystem, B, U: ControlPolytope, d,
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
     quad_nodes = _count(quad_nodes, "quad_nodes", minimum=2)
+    drift = float(dv @ zero_input_endpoint(sys))
     npts = 2 * quad_nodes + 1
     delta = sys.T / (npts - 1)
     AT = sys.A.T
@@ -441,5 +441,4 @@ def support_oracle(sys: LinearSystem, B, U: ControlPolytope, d,
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     integral = float(delta / 3.0 * (weights @ phi))
-    drift = float(dv @ zero_input_endpoint(sys))
     return drift + integral

@@ -14,8 +14,8 @@ import numpy as np
 
 from .linalg import _tolerance
 from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, _count
-from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _costate_weights,
-                    _growth, growth_metric)  # noqa: F401 - bench/test_bench.py reads it
+from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _grid, _growth,
+                    growth_metric)  # noqa: F401 - bench/test_bench.py reads it
 from .warp import WarpResult, optimize_B
 
 DEFAULT_SAMPLES = 1000
@@ -86,7 +86,7 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
         result = optimize_B(sys, U, ball, d, sense, steps)
     _, dv = _check_reach_args(sys, ball.center, U, d)
     B_star, = _check_reach_args(sys, result.B_star, U)
-    P, W = _costate_weights(sys, dv, _count(steps, "steps"))
+    P, W = _grid(sys, _count(steps, "steps")).costates(dv.tobytes())
     G_star = _growth(P, W, B_star, U)
     values = _growth(P, W, samples, U)
     best = int(np.argmax(values) if sense == "grow" else np.argmin(values))

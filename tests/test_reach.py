@@ -14,9 +14,7 @@ from reachwarp import (DimensionError, DomainError, FrobeniusBall, GeometryError
                        verify_optimality, vertex_polytope, zero_input_endpoint)
 from reachwarp import reach, warp
 from reachwarp.fixtures import fixture_config, fixture_names
-from reachwarp.reach import (_costate_tables, _costate_weights, _growth, _pick,
-                             _power_block, _score_factor, _step_matrices,
-                             _vertex_runs)
+from reachwarp.reach import _grid, _growth, _pick, _score_factor, _vertex_runs
 
 from conftest import series_exp
 
@@ -57,10 +55,9 @@ def test_costate_zero_dynamics():
 
 def test_costate_rejects_time_outside_horizon():
     path = costate_path(SCALAR, [1.0])
-    with pytest.raises(DomainError):
-        path.at(-0.1)
-    with pytest.raises(DomainError):
-        path.at(1.1)
+    for t in (-0.1, 1.1, "x", None, 1j):
+        with pytest.raises(DomainError):
+            path.at(t)
 
 
 def test_boundary_point_integrator_tie_break():
@@ -152,7 +149,8 @@ def test_midpoint_costates_match_direct_exponentials():
     steps = 130
     d = rng.standard_normal(3)
     d /= np.linalg.norm(d)
-    P = _costate_tables(A.tobytes(), 3, d.tobytes(), T, steps)[0]
+    sys_ = LinearSystem(A=A, X0=np.zeros(3), T=T, m=1)
+    P = _grid(sys_, steps).costates(d.tobytes())[0]
     h = T / steps
     for k in range(0, steps, 7):
         t_mid = (k + 0.5) * h
@@ -344,8 +342,8 @@ def test_series_oracle_sanity():
 
 def _naive_boundary_point(sys_, B, U, d, steps):
     """Per-step reference: hold each step's vertex, apply the exact step map."""
-    E, Gam, _ = _step_matrices(sys_.A.tobytes(), sys_.n, sys_.T / steps)
-    P = _costate_tables(sys_.A.tobytes(), sys_.n, d.tobytes(), sys_.T, steps)[0]
+    grid = _grid(sys_, steps)
+    E, Gam, P = grid.E, grid.Gam, grid.costates(d.tobytes())[0]
     x = np.array(sys_.X0, dtype=float)
     for k in range(steps):
         u = U.vertices[int(np.argmax(U.vertices @ (B.T @ P[k])))]
@@ -357,7 +355,7 @@ def test_boundary_point_matches_naive_step_loop():
     b = 12
     cases = [(3, steps) for steps in (1, 2, b * b - 1, b * b, b * b + 1)]
     cases.append((32, 16000))
-    assert _power_block(b * b) == b and _power_block(b * b + 1) == b + 1
+    assert [_grid(INTEGRATOR, s).Er.shape[0] for s in (b * b, b * b + 1)] == [b, b + 1]
     rng = np.random.default_rng(61)
     for n, steps in cases:
         A = rng.standard_normal((n, n))
@@ -376,7 +374,7 @@ def test_boundary_point_matches_naive_step_loop():
 def test_growth_kernel_matches_boundary_projection(name):
     problem = parse_config(fixture_config(name))
     sys_, U, d = problem.system, problem.control, problem.direction
-    P, W = _costate_weights(sys_, d, problem.steps)
+    P, W = _grid(sys_, problem.steps).costates(d.tobytes())
     c0 = zero_input_endpoint(sys_)
     for M in sample_ball(problem.ball, 20, seed=8):
         G = _growth(P, W, M, U)
@@ -396,8 +394,7 @@ def test_sweep_and_growth_factorings_pick_the_same_vertices(name):
     h = sys_.T / steps
     for B in (problem.ball.center, B_star):
         for bp in boundary_sweep(sys_, B, U, fan, steps):
-            P, W = _costate_tables(sys_.A.tobytes(), sys_.n, bp.d.tobytes(), sys_.T,
-                                   steps)
+            P, W = _grid(sys_, steps).costates(bp.d.tobytes())
             starts, vertex = _vertex_runs(np.argmax(P @ (B @ U.vertices.T), axis=1))
             assert bp.switch_times == tuple((float(s * h), int(j))
                                             for s, j in zip(starts, vertex))
@@ -405,8 +402,9 @@ def test_sweep_and_growth_factorings_pick_the_same_vertices(name):
             assert abs(bp.support_value - float(bp.d @ c0) - G) <= 1e-12 * (1.0 + abs(G))
 
 
-def test_verify_exponential_count_independent_of_samples(monkeypatch):
-    problem = parse_config(fixture_config("oscillator"))
+@pytest.fixture
+def mat_exp_calls(monkeypatch):
+    """List that gains an entry per mat_exp call made through reach or warp."""
     calls = []
 
     def counting_mat_exp(M):
@@ -415,11 +413,21 @@ def test_verify_exponential_count_independent_of_samples(monkeypatch):
 
     monkeypatch.setattr(reach, "mat_exp", counting_mat_exp)
     monkeypatch.setattr(warp, "mat_exp", counting_mat_exp)
+    return calls
+
+
+def _clear_reach_caches():
+    for fn in vars(reach).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def test_verify_exponential_count_independent_of_samples(mat_exp_calls):
+    problem = parse_config(fixture_config("oscillator"))
+    calls = mat_exp_calls
     counts = []
     for k in (5, 60):
-        for fn in vars(reach).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+        _clear_reach_caches()
         calls.clear()
         verify_optimality(problem.system, problem.control, problem.ball,
                           problem.direction, problem.sense, k=k, seed=3,
@@ -428,12 +436,46 @@ def test_verify_exponential_count_independent_of_samples(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_metric_and_sweep_share_one_grid(mat_exp_calls):
+    # one (A, T, steps) costs the augmented exponential and the half step of
+    # its grid, plus the step-free flow e^{AT}; a repeat costs nothing
+    problem = parse_config(fixture_config("oscillator"))
+    sys_, U, B = problem.system, problem.control, problem.ball.center
+    _clear_reach_caches()
+    counts = []
+    for _ in range(2):
+        mat_exp_calls.clear()
+        growth_metric(sys_, B, U, problem.direction, 400)
+        boundary_sweep(sys_, B, U, direction_fan(sys_.n, 8), 400)
+        counts.append(len(mat_exp_calls))
+    assert counts == [3, 0]
+
+
+def test_costate_cache_holds_at_most_eight_directions():
+    # every entry holds N x n P and W tables, so the cache, not the number
+    # of directions asked for, bounds their memory
+    reach._Grid.costates.cache_clear()
+    for d in direction_fan(2, 20):
+        growth_metric(INTEGRATOR, np.eye(2), BOX2, d, 50)
+    assert 0 < reach._Grid.costates.cache_info().currsize <= 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drift_overflow_raises_numeric_error_without_warning():
+    # e^{AT} = e^708 is finite, but e^{AT} X0 overflows
+    sys_ = LinearSystem(A=[[35.4]], X0=[1e10], T=20.0, m=1)
+    with pytest.raises(NumericError):
+        zero_input_endpoint(sys_)
+    with pytest.raises(NumericError):
+        support_oracle(sys_, [[1.0]], BOX1, [1.0])
+
+
 def test_growth_kernel_overflow_raises_numeric_error():
     sys_ = LinearSystem(A=[[50.0]], X0=[0.0], T=20.0, m=1)
     d = np.array([1.0])
     with pytest.raises(NumericError):
         with np.errstate(over="ignore", invalid="ignore"):
-            _growth(*_costate_weights(sys_, d, 200), np.array([[1.0]]), BOX1)
+            _growth(*_grid(sys_, 200).costates(d.tobytes()), np.array([[1.0]]), BOX1)
 
 
 def _int_matrix(draw, rows, cols, zero_rows=False, zero_cols=False):
@@ -557,7 +599,7 @@ def test_stacked_growth_is_positively_homogeneous_in_U(seed, power):
     scaled = vertex_polytope(alpha * U.vertices)
     assert scaled.is_box == U.is_box
     stack = np.stack(sample_ball(ball, 25, seed=seed % 1000))
-    P, W = _costate_weights(sys_, d, 300)
+    P, W = _grid(sys_, 300).costates(d.tobytes())
     assert np.array_equal(_growth(P, W, stack, scaled), alpha * _growth(P, W, stack, U))
 
 
@@ -572,7 +614,7 @@ def test_stacked_growth_nonnegative_when_zero_in_U(seed):
     assert U.contains_zero
     steps = 300
     stack = np.stack(sample_ball(ball, 25, seed=seed % 1000))
-    P, W = _costate_weights(sys_, d, steps)
+    P, W = _grid(sys_, steps).costates(d.tobytes())
     G = _growth(P, W, stack, U)
     norm_A = np.linalg.norm(sys_.A, 2)
     Bu = np.linalg.norm(stack @ U.vertices.T, axis=1).max(axis=1)
@@ -586,7 +628,7 @@ def test_stacked_growth_scores_in_bounded_memory():
     # (K, N, C) = 1000 x 16000 x C doubles, 256 MB for the box (C = m = 2)
     # and 512 MB for its vertex list (C = 4)
     sys_ = LinearSystem(A=[[-0.5, 1.0], [-1.0, -0.2]], X0=[0.0, 0.0], T=2.0, m=2)
-    P, W = _costate_weights(sys_, np.array([1.0, 0.0]), 16000)
+    P, W = _grid(sys_, 16000).costates(np.array([1.0, 0.0]).tobytes())
     ball = FrobeniusBall(center=np.eye(2), radius=0.5)
     stack = np.stack(sample_ball(ball, 1000, seed=5))
     for U in (BOX2, vertex_polytope(BOX2.vertices[::-1])):
