@@ -67,6 +67,10 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+# B* grew a direction's support when it rose by more than this times
+# 1 + |nominal support|; a change within that band is a tie, not growth
+GROWTH_TIE_TOL = 1e-12
+
 # least value of each count option
 _COUNT_OPTIONS = {"steps": 1, "seed": 0, "directions": 1, "samples": 1}
 
@@ -215,9 +219,11 @@ def cmd_boundary(args) -> int:
     if result is not None:
         nominal = boundary_sweep(problem.system, problem.ball.center,
                                  problem.control, fan, problem.steps)
-        grown = sum(1 for p, q in zip(points, nominal)
-                    if p.support_value > q.support_value)
-        extras["directions_grown"] = grown
+        s_nom = np.array([q.support_value for q in nominal])
+        gap = np.array([p.support_value for p in points]) - s_nom
+        band = GROWTH_TIE_TOL * (1.0 + np.abs(s_nom))
+        extras["directions_grown"] = int(np.count_nonzero(gap > band))
+        extras["directions_tied"] = int(np.count_nonzero(np.abs(gap) <= band))
     _manifest(out, "boundary", problem, _regime(problem, result), started,
               [name], extras)
     return 0

@@ -83,6 +83,21 @@ def _direction_in(d, n: int) -> np.ndarray:
     return v
 
 
+def _unit_rows(directions, n: int):
+    """directions as a read-only (k, n) array when every row passes
+    _direction_in's checks with half its norm slack, so that rounding never
+    decides; else None."""
+    try:
+        D = np.array(directions, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    with np.errstate(all="ignore"):
+        ok = D.ndim == 2 and D.shape[1] == n and bool(np.all(
+            np.abs(np.linalg.norm(D, axis=1) - 1.0) <= UNIT_NORM_TOL / 2))
+    D.setflags(write=False)
+    return D if ok else None
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues of a real matrix plus a realness classification.

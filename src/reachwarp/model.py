@@ -216,14 +216,18 @@ def ball_argmax(ball: FrobeniusBall, W, sense: str = "grow") -> np.ndarray:
 
     The maximizer ("grow") is center + radius * W / ||W||_F, the minimizer
     ("shrink") flips the sign of the step.  A zero gradient leaves every
-    point of the ball equivalent, in which case the center is returned.
+    point of the ball equivalent, in which case the center is returned.  A
+    gradient whose norm overflows raises NumericError.
     """
     Wm = as_matrix(W, "gradient")
     if Wm.shape != ball.center.shape:
         raise DimensionError(f"gradient has shape {Wm.shape} but the ball is over "
                              f"{ball.center.shape} matrices")
     _check_sense(sense)
-    nrm = float(np.linalg.norm(Wm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.linalg.norm(Wm))
+    if not np.isfinite(nrm):
+        raise NumericError("gradient norm overflows")
     if nrm == 0.0:
         out = ball.center.copy()
     else:

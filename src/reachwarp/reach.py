@@ -26,33 +26,35 @@ for a whole stack of matrices at once, as a weighted sum of the products
 of B V^T with T = W^T mask, the step weights behind each picked vertex.
 
 All powers of E come from two tables of about sqrt(N) matrices each,
-E^{ab + r} = E^{ab} E^r with r < b = ceil(sqrt(N)).  X_dB, needed only as
-output, is advanced run by run with E^L and S_L = sum_{i<L} E^i from them,
-which keeps G_d equal to d . (X_dB - E^N X0) up to rounding.  With
+E^{ab + r} = E^{ab} E^r with r < b = ceil(sqrt(N)).  With
 j = N-1-k = ab + r, the score P_k^T B u_v = (d^T E^{ab}) (E^r F^T B u_v),
 F = e^{A^T h/2}, factors either way round.  G_d keeps d while B varies
 (verify scores B* and all its samples in one call), so it caches the d-side
 P and W per direction and scores a block of matrices with one product P X.
-Boundary points keep B and U while d varies (a sweep is a fan of
-directions), so each call builds the B-side Q_B = [E^r F^T B V^T]_{r<b}
-once and scores a direction with one product of its rows d^T E^{ab}.
+A sweep keeps B and U while d varies, so it builds the B-side
+Q_B = [E^r F^T B V^T]_{r<b} once and scores a block of directions through
+their rows d^T E^{ab}.  X_dB, needed only as output, is summed from the
+same blocks' 0/1 picks, X_dB = E^N X0 + sum_a E^{ab} sum_r Y_r mask_{ab+r}
+with Y_r = E^r Gamma B V^T, so G_d = d . (X_dB - E^N X0) up to rounding.
 When U is an uncollapsed box in box_polytope's binary order, the argmax is
 the bang-bang sign rule: bit j of i_k is [(B^T P_k)_j > 0], an exact zero
 giving bit 0 as the tie-break does, so both kernels score B^T P_k (B in
-place of B V^T: m columns, not 2^m).  Other polytopes keep the argmax.
+place of B V^T: m columns, not 2^m), a sweep's Y_r is E^r Gamma B diag(hi - lo),
+and sum_j E^j Gamma B lo joins E^N X0.  Other polytopes keep the argmax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import isqrt
 from numbers import Real
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, GeometryError, NumericError
-from .linalg import _direction_in, as_matrix, mat_exp
+from .linalg import _direction_in, _unit_rows, as_matrix, mat_exp
 from .model import ControlPolytope, LinearSystem, _count
 
 DEFAULT_STEPS = 2000
@@ -61,10 +63,8 @@ DEFAULT_SEED = 42
 
 DEFAULT_QUAD_NODES = 4000
 
-_SCAN_BLOCK = 64
-
-# Cap on the N x k x C vertex scores of one block of k matrices in _growth: 2^16
-# doubles (512 KB per temporary) stay in cache, whatever the stack's size.
+# Cap on the N x k x C vertex scores of a block of k matrices (_growth) or
+# directions (_sweep): 2^16 doubles (512 KB per temporary) stay in cache.
 _GROWTH_BLOCK = 1 << 16
 
 
@@ -95,15 +95,22 @@ class BoundaryPoint:
     switch_times holds (time, vertex_index) entries, one per change of the
     active control vertex including the initial choice at t = 0; the vertex
     active on any integration step is the last entry at or before the step
-    start.  support_value = d . X_dB is the support of the computed
-    reachable point in direction d.
+    start; it is built on access.  support_value = d . X_dB is the support
+    of the computed reachable point in direction d.
     """
 
     d: np.ndarray
     X_dB: np.ndarray
     support_value: float
-    switch_times: tuple[tuple[float, int], ...]
     steps: int
+    # step length, first vertex, later switch steps and their vertices
+    _switches: tuple = field(repr=False)
+
+    @property
+    def switch_times(self) -> tuple[tuple[float, int], ...]:
+        h, first, at, vertex = self._switches
+        return ((0.0, int(first)),) + tuple((float(k * h), int(j))
+                                            for k, j in zip(at, vertex))
 
 
 @dataclass(frozen=True)
@@ -122,11 +129,9 @@ class _Grid:
     E = e^{Ah}, Gam = int_0^h e^{As} ds, the adjoint half step
     F = e^{A^T h/2}, and two-level tables of the powers of E up to E^steps.
 
-    With b = ceil(sqrt(steps)): Er[r] = E^r and Sr[r] = S_r for r < b, and
-    Eab[a] = E^{ab} and Sab[a] = S_{ab} for ab <= steps, where
-    S_L = sum_{i<L} E^i.  Any power is then E^{ab + r} = E^{ab} E^r, and a
-    run of L = ab + r equal steps with step input c maps x to
-    E^{ab} (E^r x + S_r c) + S_{ab} c = E^L x + S_L c.
+    With b = ceil(sqrt(steps)): Er[r] = E^r for r < b and Eab[a] = E^{ab}
+    for ab <= steps, so any power is E^{ab + r} = E^{ab} E^r.  The b * len(Eab)
+    pairs (a, r) cover every j < steps, and a few j >= steps past it.
     """
 
     steps: int
@@ -135,9 +140,7 @@ class _Grid:
     Gam: np.ndarray
     F: np.ndarray
     Er: np.ndarray
-    Sr: np.ndarray
     Eab: np.ndarray
-    Sab: np.ndarray
 
     # One cache serves every grid, keyed by d and the grid's identity (eq=False).
     # One command touches one key, and the benchmark's verify workload rotates
@@ -177,30 +180,22 @@ def _build_grid(a_key: bytes, n: int, T: float, steps: int) -> _Grid:
     Gam = EG[:n, n:].copy()
     F = mat_exp(A.T * (h / 2.0))
     b = isqrt(steps - 1) + 1
-    eye = np.eye(n)
     Er = np.empty((b, n, n))
-    Sr = np.zeros((b, n, n))
-    Er[0] = eye
-    count = steps // b + 1
-    Eab = np.empty((count, n, n))
-    Sab = np.zeros((count, n, n))
-    Eab[0] = eye
+    Er[0] = np.eye(n)
+    Eab = np.empty((steps // b + 1, n, n))
+    Eab[0] = Er[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, b):
             Er[r] = E @ Er[r - 1]
-            Sr[r] = eye + E @ Sr[r - 1]
         Eb = E @ Er[b - 1]
-        Sb = eye + E @ Sr[b - 1]
-        for a in range(1, count):
+        for a in range(1, len(Eab)):
             Eab[a] = Eb @ Eab[a - 1]
-            Sab[a] = Sab[a - 1] + Eab[a - 1] @ Sb
-    for M in (Er, Sr, Eab, Sab):
-        if not np.all(np.isfinite(M)):
-            raise NumericError("powers of the step matrix overflow; the dynamics "
-                               "overflow the horizon")
-    for M in (E, Gam, Er, Sr, Eab, Sab):
+    if not (np.all(np.isfinite(Er)) and np.all(np.isfinite(Eab))):
+        raise NumericError("powers of the step matrix overflow; the dynamics "
+                           "overflow the horizon")
+    for M in (E, Gam, Er, Eab):
         M.setflags(write=False)
-    return _Grid(steps, h, E, Gam, F, Er, Sr, Eab, Sab)
+    return _Grid(steps, h, E, Gam, F, Er, Eab)
 
 
 def _grid(sys: LinearSystem, steps: int) -> _Grid:
@@ -285,31 +280,57 @@ def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, *directions):
     return (Bm, *(_direction_in(d, sys.n) for d in directions))
 
 
-def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, directions,
+def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
            steps: int) -> list[BoundaryPoint]:
-    """Boundary points of checked directions through the B-side table Q_B;
-    each direction's vertex picks come in j order, reversed into step order."""
+    """Boundary points of the checked (k, n) directions D, a block at a time:
+    scores, row j = ab + r, from the rows d^T E^{ab} and Q_B, then X_dB from
+    what _select picks as a 0/1 mask (0 on rows j >= steps) and the Y_r.  Each
+    direction has BLAS calls of its own, so its point is the same in any block."""
     n, V, g = sys.n, U.vertices, _grid(sys, steps)
-    b = g.Er.shape[0]
+    b, count = g.Er.shape[0], g.Eab.shape[0]
     factor = _score_factor(Bm, U)
-    Q = (g.Er @ (g.F.T @ factor)).transpose(1, 0, 2).reshape(n, -1)
+    C = factor.shape[1]
+    Eh = g.Eab.transpose(1, 0, 2).reshape(n, -1)
+    block = max(1, _GROWTH_BLOCK // (b * count * C))
     points = []
-    for d in directions:
-        scores = ((d @ g.Eab) @ Q).reshape(-1, factor.shape[1])[:steps]
-        starts, vertex = _vertex_runs(_pick(scores, U)[::-1])
-        inputs = (g.Gam @ (Bm @ V[vertex].T)).T
-        lengths = np.diff(np.append(starts, steps))
-        x = np.array(sys.X0, dtype=float)
-        for L, c in zip(lengths, inputs):
-            a, r = divmod(int(L), b)
-            x = g.Eab[a] @ (g.Er[r] @ x + g.Sr[r] @ c) + g.Sab[a] @ c
-        if not np.all(np.isfinite(x)):
-            raise NumericError("propagated state is non-finite; the dynamics overflow "
-                               "the horizon")
-        x.setflags(write=False)
-        switches = tuple((float(s * g.h), int(j)) for s, j in zip(starts, vertex))
-        points.append(BoundaryPoint(d=d, X_dB=x, support_value=float(d @ x),
-                                    switch_times=switches, steps=steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = (g.Er @ (g.F.T @ factor)).transpose(1, 0, 2).reshape(n, -1)
+        inputs = g.Gam @ (factor * (V[-1] - V[0]) if U.is_box else factor)
+        Y = (g.Er.reshape(-1, n) @ inputs).reshape(b, n, -1)
+        Y = Y.transpose(0, 2, 1).reshape(-1, n)
+        x_base = g.Eab[steps // b] @ (g.Er[steps % b] @ sys.X0)
+        if U.is_box:
+            live = (np.arange(b * count) < steps).reshape(count, b)
+            lo = (g.Er.reshape(-1, n) @ (g.Gam @ (Bm @ V[0]))).reshape(b, n)
+            x_base = x_base + Eh @ (live @ lo).ravel()
+        for s in range(0, len(D), block):
+            Db = D[s:s + block]
+            rows = (Db[:, None] @ Eh).reshape(len(Db), -1, n)
+            scores = (rows @ Q).reshape(len(Db), -1, C)
+            finite = np.isfinite(scores.min() + scores.max())
+            sel = _select(scores, U)
+            del scores  # the mask below is as large; keep one of them alive at a time
+            mask = sel if U.is_box else np.take(np.eye(C), sel, axis=0)
+            mask[:, steps:] = 0
+            Z = (mask.reshape(len(Db), count, -1) @ Y).reshape(len(Db), 1, -1)
+            X = x_base + (Z @ Eh.T)[:, 0]
+            if not (finite and np.all(np.isfinite(X))):
+                raise NumericError("boundary point is non-finite; the dynamics overflow "
+                                   "the horizon")
+            X.setflags(write=False)
+            # step N-1-j switches where rows j and j + 1 of the picks (a box's
+            # bits, else the vertex index) differ; row N-1 is step 0's pick
+            pick = sel if U.is_box else sel[..., None]
+            index = 1 << np.arange(pick.shape[2])
+            ahead = np.flatnonzero(pick[:, 1:steps] != pick[:, :steps - 1]) // pick.shape[2]
+            which, j = np.divmod(ahead, max(steps - 1, 1))
+            which, at = np.divmod(np.unique(which * steps + steps - 1 - j), steps)
+            vertex, first = pick[which, steps - 1 - at] @ index, pick[:, steps - 1] @ index
+            cuts = np.searchsorted(which, np.arange(len(Db) + 1))
+            for i, (d, x) in enumerate(zip(Db, X)):
+                run = slice(cuts[i], cuts[i + 1])
+                points.append(BoundaryPoint(d, x, float(d @ x), steps,
+                                            (g.h, first[i], at[run], vertex[run])))
     return points
 
 
@@ -324,7 +345,7 @@ def boundary_point(sys: LinearSystem, B, U: ControlPolytope, d,
     switch times being resolved only to step resolution.
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
-    return _sweep(sys, Bm, U, [dv], _count(steps, "steps"))[0]
+    return _sweep(sys, Bm, U, dv[None], _count(steps, "steps"))[0]
 
 
 def zero_input_endpoint(sys: LinearSystem) -> np.ndarray:
@@ -358,10 +379,16 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
 def boundary_sweep(sys: LinearSystem, B, U: ControlPolytope, directions,
                    steps: int = DEFAULT_STEPS) -> list[BoundaryPoint]:
     """Boundary points for a list of directions, in the order given."""
-    Bm, *dirs = _check_reach_args(sys, B, U, *directions)
-    if not dirs:
+    D = _unit_rows(directions, sys.n)
+    if D is None:
+        Bm, *dirs = _check_reach_args(sys, B, U, *directions)
+        D = np.reshape(dirs, (len(dirs), sys.n))
+        D.setflags(write=False)
+    else:
+        Bm, = _check_reach_args(sys, B, U)
+    if not len(D):
         raise GeometryError("boundary_sweep needs at least one direction")
-    return _sweep(sys, Bm, U, dirs, _count(steps, "steps"))
+    return _sweep(sys, Bm, U, D, _count(steps, "steps"))
 
 
 def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
@@ -404,41 +431,49 @@ def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _node_table(a_key: bytes, n: int, T: float, quad_nodes: int):
+    """Node spacing delta of support_oracle and the powers e^{A i delta},
+    i = ab + r, as Er[r] side by side, shape (n, b n), and Eab[a], built here
+    and not by _grid, so the oracle shares only mat_exp with the kernel."""
+    delta = T / (2 * quad_nodes)
+    E = mat_exp(np.frombuffer(a_key, dtype=float).reshape(n, n) * delta)
+    b = isqrt(2 * quad_nodes) + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # support_oracle checks
+        Er = list(accumulate(repeat(E, b - 1), np.matmul, initial=np.eye(n)))
+        Eab = list(accumulate(repeat(Er[-1] @ E, 2 * quad_nodes // b), np.matmul,
+                              initial=np.eye(n)))
+    return delta, np.hstack(Er), np.array(Eab)
+
+
 def support_oracle(sys: LinearSystem, B, U: ControlPolytope, d,
                    quad_nodes: int = DEFAULT_QUAD_NODES) -> float:
     """Support of the reachable set in direction d by direct quadrature.
 
     Independent cross-check for boundary_point: the support equals
     d . e^{AT} X0 + int_0^T max_i  d^T e^{A(T-t)} B u_i  dt, evaluated here
-    with composite Simpson quadrature over quad_nodes panels.  No switched
-    trajectory is integrated, so the two routes share only the matrix
-    exponential.
+    with composite Simpson quadrature over quad_nodes panels.  Row i of W is
+    the adjoint d^T e^{A i delta} at t = T - i delta, one product of the rows
+    d^T E^{ab} with the problem's cached _node_table, and the integrand is
+    the max over vertices of (BV)^T W^T; Simpson's weights are symmetric, so
+    the node order is immaterial.  No switched trajectory is integrated, so
+    the two routes share only the matrix exponential.  A non-finite table or
+    integrand raises NumericError.
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
     quad_nodes = _count(quad_nodes, "quad_nodes", minimum=2)
     drift = float(dv @ zero_input_endpoint(sys))
+    delta, Er, Eab = _node_table(sys.A.tobytes(), sys.n, sys.T, quad_nodes)
     npts = 2 * quad_nodes + 1
-    delta = sys.T / (npts - 1)
-    AT = sys.A.T
-    step_fwd = np.asarray(mat_exp(-AT * delta))
-    BV = Bm @ U.vertices.T
-    # adjoint weights at all quadrature nodes: w[j+1] = step_fwd w[j],
-    # advanced block-at-a-time
-    W = np.empty((npts, sys.n))
-    W[0] = np.asarray(mat_exp(AT * sys.T)) @ dv
-    block = min(_SCAN_BLOCK, npts - 1)
-    for j in range(block):
-        W[j + 1] = step_fwd @ W[j]
-    if npts - 1 > block:
-        Gb_T = np.linalg.matrix_power(step_fwd, block).T
-        hi = block + 1
-        while hi < npts:
-            L = min(block, npts - hi)
-            W[hi:hi + L] = W[hi - block:hi - block + L] @ Gb_T
-            hi += L
-    phi = np.max(W @ BV, axis=1)
     weights = np.ones(npts)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    integral = float(delta / 3.0 * (weights @ phi))
-    return drift + integral
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = ((dv @ Eab) @ Er).reshape(-1, sys.n)[:npts]
+        phi = np.max((Bm @ U.vertices.T).T @ W.T, axis=0)
+        support = drift + float(delta / 3.0 * (weights @ phi))
+    # a non-finite table entry or score makes phi, and so the support, non-finite
+    if not np.isfinite(support):
+        raise NumericError("quadrature integrand is non-finite; the dynamics overflow "
+                           "the horizon")
+    return support

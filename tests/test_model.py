@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reachwarp import (ControlPolytope, DimensionError, DomainError, FrobeniusBall,
-                       GeometryError, LinearSystem, PreconditionError, ball_argmax,
-                       ball_contains, box_polytope, unit_direction, vertex_polytope)
+                       GeometryError, LinearSystem, NumericError, PreconditionError,
+                       ball_argmax, ball_contains, box_polytope, unit_direction,
+                       vertex_polytope)
 
 
 def test_unit_direction_accepts_unit_vectors():
@@ -119,6 +120,13 @@ def test_ball_argmax_zero_gradient_returns_center():
     ball = FrobeniusBall(center=[[2.0, 3.0]], radius=1.0)
     out = ball_argmax(ball, np.zeros((1, 2)), "grow")
     assert np.array_equal(out, ball.center)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ball_argmax_overflowing_gradient_raises_numeric_error():
+    ball = FrobeniusBall(center=[[1.0, 0.0]], radius=0.1)
+    with pytest.raises(NumericError):
+        ball_argmax(ball, [[1e300, 1e300]], "grow")
 
 
 def test_ball_argmax_scalar_senses():

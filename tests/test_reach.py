@@ -340,15 +340,23 @@ def test_series_oracle_sanity():
     assert np.max(np.abs(series_exp(A) - expected)) <= 1e-12
 
 
-def _naive_boundary_point(sys_, B, U, d, steps):
-    """Per-step reference: hold each step's vertex, apply the exact step map."""
+def _naive_walk(sys_, B, U, d, steps):
+    """Per-step reference: hold each step's vertex, apply the exact step map;
+    returns the end state and the (time, vertex) entry of every switch."""
     grid = _grid(sys_, steps)
     E, Gam, P = grid.E, grid.Gam, grid.costates(d.tobytes())[0]
     x = np.array(sys_.X0, dtype=float)
+    switches = []
     for k in range(steps):
-        u = U.vertices[int(np.argmax(U.vertices @ (B.T @ P[k])))]
-        x = E @ x + Gam @ (B @ u)
-    return x
+        i = int(np.argmax(U.vertices @ (B.T @ P[k])))
+        if not switches or switches[-1][1] != i:
+            switches.append((float(k * grid.h), i))
+        x = E @ x + Gam @ (B @ U.vertices[i])
+    return x, tuple(switches)
+
+
+def _naive_boundary_point(sys_, B, U, d, steps):
+    return _naive_walk(sys_, B, U, d, steps)[0]
 
 
 def test_boundary_point_matches_naive_step_loop():
@@ -368,6 +376,30 @@ def test_boundary_point_matches_naive_step_loop():
         got = boundary_point(sys_, B, BOX2, d, steps=steps).X_dB
         ref = _naive_boundary_point(sys_, B, BOX2, d, steps)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["box", "vertex-list"])
+@pytest.mark.parametrize("steps", [1, 2, 5, 2000, 2001])
+def test_blocked_sweep_matches_per_step_loop(steps, shuffled):
+    # admire's shape: n = 3 and a 4-D box, so a block holds 8 directions at
+    # 2000 steps (2 for the 16-vertex list) and 7, 9 and 400 end in a partial one
+    rng = np.random.default_rng(67)
+    A = rng.standard_normal((3, 3))
+    A *= 2.0 / np.linalg.norm(A, 2)
+    sys_ = LinearSystem(A=A, X0=rng.standard_normal(3), T=1.0, m=4)
+    U = box_polytope(-rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4))
+    if shuffled:
+        U = vertex_polytope(rng.permutation(U.vertices))
+    B = rng.standard_normal((3, 4))
+    fan = direction_fan(3, 400, seed=5)
+    for count in (1, 7, 9, 400):
+        points = boundary_sweep(sys_, B, U, fan[:count], steps)
+        for k in range(0, count, max(1, count // 8)):
+            x, switches = _naive_walk(sys_, B, U, fan[k], steps)
+            # 1e-12 as in the test above: the loop's own rounding over 2000
+            # steps reaches about 2e-13 of |x|
+            assert np.max(np.abs(points[k].X_dB - x)) <= 1e-12 * np.max(np.abs(x))
+            assert points[k].switch_times == switches
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -449,6 +481,26 @@ def test_metric_and_sweep_share_one_grid(mat_exp_calls):
         boundary_sweep(sys_, B, U, direction_fan(sys_.n, 8), 400)
         counts.append(len(mat_exp_calls))
     assert counts == [3, 0]
+
+
+def test_support_oracle_builds_one_node_table_per_problem(mat_exp_calls):
+    problem = parse_config(fixture_config("admire_grow_p"))
+    sys_, U, B = problem.system, problem.control, problem.ball.center
+    _clear_reach_caches()
+    zero_input_endpoint(sys_)
+    mat_exp_calls.clear()
+    for d in direction_fan(sys_.n, 20):
+        support_oracle(sys_, B, U, d)
+    assert len(mat_exp_calls) == 1
+    assert reach._node_table.cache_info().currsize == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_support_oracle_overflow_raises_numeric_error():
+    # the drift is 0, but d^T e^{A(T-t)} B u overflows near t = 0
+    sys_ = LinearSystem(A=[[35.4]], X0=[0.0], T=20.0, m=1)
+    with pytest.raises(NumericError):
+        support_oracle(sys_, [[1e10]], BOX1, [1.0])
 
 
 def test_costate_cache_holds_at_most_eight_directions():
