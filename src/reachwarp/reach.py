@@ -36,6 +36,9 @@ Q_B = [E^r F^T B V^T]_{r<b} once and scores a block of directions through
 their rows d^T E^{ab}.  X_dB, needed only as output, is summed from the
 same blocks' 0/1 picks, X_dB = E^N X0 + sum_a E^{ab} sum_r Y_r mask_{ab+r}
 with Y_r = E^r Gamma B V^T, so G_d = d . (X_dB - E^N X0) up to rounding.
+A sweep keeps nothing else per direction: its supports d . X_dB come from one
+batched product per block, and a point's switch times are scored again, from
+the sweep's shared tables, only when they are read.
 When U is an uncollapsed box in box_polytope's binary order, the argmax is
 the bang-bang sign rule: bit j of i_k is [(B^T P_k)_j > 0], an exact zero
 giving bit 0 as the tie-break does, so both kernels score B^T P_k (B in
@@ -67,6 +70,10 @@ DEFAULT_QUAD_NODES = 4000
 # directions (_sweep): 2^16 doubles (512 KB per temporary) stay in cache.
 _GROWTH_BLOCK = 1 << 16
 
+# A sweep whose bound on |score| lies below this cannot overflow a score, nor
+# a sum of a few of them, so it skips the per-block overflow check.
+_SCORE_BOUND = 1e300
+
 
 @dataclass(frozen=True)
 class CostatePath:
@@ -88,29 +95,33 @@ def costate_path(sys: LinearSystem, d) -> CostatePath:
     return CostatePath(A=sys.A, T=sys.T, d=_direction_in(d, sys.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPoint:
     """One boundary point of the reachable set.
 
-    switch_times holds (time, vertex_index) entries, one per change of the
-    active control vertex including the initial choice at t = 0; the vertex
-    active on any integration step is the last entry at or before the step
-    start; it is built on access.  support_value = d . X_dB is the support
-    of the computed reachable point in direction d.
+    support_value = d . X_dB is the support of the computed reachable point
+    in direction d.  switch_times holds (time, vertex_index) entries, one per
+    change of the active control vertex including the initial choice at
+    t = 0; the vertex active on any integration step is the last entry at or
+    before the step start.  It is scored again on each read, from the
+    (h, Eh, Q_B, U) _source shared by the points of one sweep, with the
+    sweep's own _scores call, so it repeats the sweep's picks bit for bit.
+    Points compare by identity, never by their arrays.
     """
 
     d: np.ndarray
     X_dB: np.ndarray
     support_value: float
     steps: int
-    # step length, first vertex, later switch steps and their vertices
-    _switches: tuple = field(repr=False)
+    _source: tuple = field(repr=False)
 
     @property
     def switch_times(self) -> tuple[tuple[float, int], ...]:
-        h, first, at, vertex = self._switches
-        return ((0.0, int(first)),) + tuple((float(k * h), int(j))
-                                            for k, j in zip(at, vertex))
+        h, Eh, Q, U = self._source
+        C = U.m if U.is_box else U.num_vertices
+        # row j of the scores is step steps - 1 - j
+        picks = _pick(_scores(Eh, Q, self.d[None], C)[0, self.steps - 1::-1], U)
+        return tuple((float(k * h), int(j)) for k, j in zip(*_vertex_runs(picks)))
 
 
 @dataclass(frozen=True)
@@ -280,19 +291,32 @@ def _check_reach_args(sys: LinearSystem, B, U: ControlPolytope, *directions):
     return (Bm, *(_direction_in(d, sys.n) for d in directions))
 
 
+def _scores(Eh: np.ndarray, Q: np.ndarray, D: np.ndarray, C: int) -> np.ndarray:
+    """Vertex scores of the (k, n) directions D, shape (k, rows, C): row
+    j = ab + r is (d^T E^{ab}) Q_B[r], from Eh = [E^{ab}]_a side by side.
+    Each direction has BLAS calls of its own, so its rows are the same in
+    any block, and the same again when one direction is scored alone."""
+    rows = (D[:, None] @ Eh).reshape(len(D), -1, Q.shape[0])
+    return (rows @ Q).reshape(len(D), -1, C)
+
+
 def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
            steps: int) -> list[BoundaryPoint]:
     """Boundary points of the checked (k, n) directions D, a block at a time:
-    scores, row j = ab + r, from the rows d^T E^{ab} and Q_B, then X_dB from
-    what _select picks as a 0/1 mask (0 on rows j >= steps) and the Y_r.  Each
-    direction has BLAS calls of its own, so its point is the same in any block."""
+    _scores from the rows d^T E^{ab} and Q_B, then X_dB from what _select
+    picks as a 0/1 mask (0 on rows j >= steps) and the Y_r, and the supports
+    d . X_dB with one batched product, equal to float(d @ x) bit for bit.
+    For a unit d every score is at most n^2 max|E^{ab}| max|Q_B| in size;
+    only when that bound is not below _SCORE_BOUND (or is NaN) is each score
+    block checked for overflow.  The points share one (h, Eh, Q_B, U) source, from
+    which switch_times is built on access."""
     n, V, g = sys.n, U.vertices, _grid(sys, steps)
     b, count = g.Er.shape[0], g.Eab.shape[0]
     factor = _score_factor(Bm, U)
     C = factor.shape[1]
     Eh = g.Eab.transpose(1, 0, 2).reshape(n, -1)
     block = max(1, _GROWTH_BLOCK // (b * count * C))
-    points = []
+    X, S = np.empty((len(D), n)), np.empty(len(D))
     with np.errstate(over="ignore", invalid="ignore"):
         Q = (g.Er @ (g.F.T @ factor)).transpose(1, 0, 2).reshape(n, -1)
         inputs = g.Gam @ (factor * (V[-1] - V[0]) if U.is_box else factor)
@@ -303,35 +327,27 @@ def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
             live = (np.arange(b * count) < steps).reshape(count, b)
             lo = (g.Er.reshape(-1, n) @ (g.Gam @ (Bm @ V[0]))).reshape(b, n)
             x_base = x_base + Eh @ (live @ lo).ravel()
+        # max|M| as max(M.max(), -M.min()) needs no temporary as large as M
+        Emax, Qmax = (np.maximum(M.max(), -M.min()) for M in (g.Eab, Q))
+        bounded = bool(n * n * Emax * Qmax < _SCORE_BOUND)
         for s in range(0, len(D), block):
             Db = D[s:s + block]
-            rows = (Db[:, None] @ Eh).reshape(len(Db), -1, n)
-            scores = (rows @ Q).reshape(len(Db), -1, C)
-            finite = np.isfinite(scores.min() + scores.max())
+            scores = _scores(Eh, Q, Db, C)
+            finite = bounded or np.isfinite(scores.min() + scores.max())
             sel = _select(scores, U)
             del scores  # the mask below is as large; keep one of them alive at a time
             mask = sel if U.is_box else np.take(np.eye(C), sel, axis=0)
             mask[:, steps:] = 0
             Z = (mask.reshape(len(Db), count, -1) @ Y).reshape(len(Db), 1, -1)
-            X = x_base + (Z @ Eh.T)[:, 0]
-            if not (finite and np.all(np.isfinite(X))):
+            Xb = X[s:s + block]
+            Xb[:] = x_base + (Z @ Eh.T)[:, 0]
+            if not (finite and np.all(np.isfinite(Xb))):
                 raise NumericError("boundary point is non-finite; the dynamics overflow "
                                    "the horizon")
-            X.setflags(write=False)
-            # step N-1-j switches where rows j and j + 1 of the picks (a box's
-            # bits, else the vertex index) differ; row N-1 is step 0's pick
-            pick = sel if U.is_box else sel[..., None]
-            index = 1 << np.arange(pick.shape[2])
-            ahead = np.flatnonzero(pick[:, 1:steps] != pick[:, :steps - 1]) // pick.shape[2]
-            which, j = np.divmod(ahead, max(steps - 1, 1))
-            which, at = np.divmod(np.unique(which * steps + steps - 1 - j), steps)
-            vertex, first = pick[which, steps - 1 - at] @ index, pick[:, steps - 1] @ index
-            cuts = np.searchsorted(which, np.arange(len(Db) + 1))
-            for i, (d, x) in enumerate(zip(Db, X)):
-                run = slice(cuts[i], cuts[i + 1])
-                points.append(BoundaryPoint(d, x, float(d @ x), steps,
-                                            (g.h, first[i], at[run], vertex[run])))
-    return points
+            S[s:s + block] = (Db[:, None] @ Xb[:, :, None])[:, 0, 0]
+    X.setflags(write=False)
+    source = (g.h, Eh, Q, U)
+    return [BoundaryPoint(d, x, s, steps, source) for d, x, s in zip(D, X, S.tolist())]
 
 
 def boundary_point(sys: LinearSystem, B, U: ControlPolytope, d,
@@ -370,10 +386,11 @@ def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
     steps = _count(steps, "steps")
-    bp = boundary_point(sys, Bm, U, dv, steps)
+    # keep only X_dB: the point would hold its sweep's tables through _growth
+    X = boundary_point(sys, Bm, U, dv, steps).X_dB
     c0 = zero_input_endpoint(sys)
     G = _growth(*_grid(sys, steps).costates(dv.tobytes()), Bm, U)
-    return GrowthReport(G_d=G, c0=c0, X_dB=bp.X_dB, B=Bm)
+    return GrowthReport(G_d=G, c0=c0, X_dB=X, B=Bm)
 
 
 def boundary_sweep(sys: LinearSystem, B, U: ControlPolytope, directions,
@@ -397,13 +414,23 @@ def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
     n = 2 uses equally spaced angles starting at 0; n = 3 uses a Fibonacci
     sphere; higher dimensions draw seeded Gaussian vectors and normalize.
     n = 1 has only two unit directions, so at most M = 2 is allowed there.
+    Only n > 3 reads the seed.  Each call returns a new list of read-only
+    arrays, which calls with the same fan share.
     """
     n = _count(n, "dimension n", error=DimensionError)
     M = _count(M, "direction count M")
     seed = _count(seed, "seed", minimum=0)
+    if n == 1 and M > 2:
+        raise DomainError("only 2 distinct unit directions exist in 1-D")
+    return list(_fan(n, M, seed if n > 3 else 0))
+
+
+# A boundary command sweeps one fan, twice with --B optimized, and a caller
+# checking its CSV asks for the fan again; a few problems' fans stay alive.
+@lru_cache(maxsize=8)
+def _fan(n: int, M: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The directions of direction_fan for checked arguments, read-only."""
     if n == 1:
-        if M > 2:
-            raise DomainError("only 2 distinct unit directions exist in 1-D")
         fan = [np.array([1.0]), np.array([-1.0])][:M]
     elif n == 2:
         angles = 2.0 * np.pi * np.arange(M) / M
@@ -428,7 +455,7 @@ def direction_fan(n: int, M: int, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
         u = v / np.linalg.norm(v)
         u.setflags(write=False)
         out.append(u)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)

@@ -115,6 +115,18 @@ def test_boundary_point_support_equals_projection():
     assert bp.support_value == float(bp.d @ bp.X_dB)
 
 
+def test_boundary_points_compare_by_identity():
+    # a point holds arrays, so comparing fields would raise; points are
+    # compared and hashed as objects
+    a = boundary_point(SCALAR, [[1.0]], BOX1, [1.0], steps=50)
+    b = boundary_point(SCALAR, [[1.0]], BOX1, [1.0], steps=50)
+    assert np.array_equal(a.X_dB, b.X_dB) and a.support_value == b.support_value
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_boundary_point_switch_times_nondecreasing():
     sys_ = LinearSystem(A=[[0.0, 1.0], [-2.0, -0.8]], X0=[0.0, 0.0], T=2.0, m=2)
     bp = boundary_point(sys_, [[0.0, 1.0], [1.0, 0.0]], BOX2, [1.0, 0.0])
@@ -280,6 +292,50 @@ def test_direction_fan_sphere_and_higher():
         direction_fan(3, 0)
 
 
+def _fan_loop(n, M):
+    """direction_fan's directions for n <= 3, built afresh on every call."""
+    if n == 1:
+        fan = [np.array([1.0]), np.array([-1.0])][:M]
+    elif n == 2:
+        fan = [np.array([np.cos(a), np.sin(a)]) for a in 2.0 * np.pi * np.arange(M) / M]
+    else:
+        golden = np.pi * (3.0 - np.sqrt(5.0))
+        fan = []
+        for k in range(M):
+            z = 1.0 - 2.0 * (k + 0.5) / M
+            r = np.sqrt(max(0.0, 1.0 - z * z))
+            fan.append(np.array([r * np.cos(golden * k), r * np.sin(golden * k), z]))
+    return [v / np.linalg.norm(v) for v in fan]
+
+
+def test_direction_fan_returns_a_new_list_of_read_only_arrays():
+    first = direction_fan(3, 50, seed=1)
+    first[0] = None
+    first.append(None)
+    again = direction_fan(3, 50, seed=1)
+    assert len(again) == 50
+    assert all(isinstance(v, np.ndarray) for v in again)
+    for v in again:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+
+
+@pytest.mark.parametrize("n, M", [(1, 1), (1, 2), (2, 7), (2, 400), (3, 9), (3, 400)])
+def test_direction_fan_ignores_the_seed_up_to_three_dimensions(n, M):
+    reference = _fan_loop(n, M)
+    for seed in (0, 9, 10, 42):
+        fan = direction_fan(n, M, seed)
+        assert len(fan) == M
+        assert all(np.array_equal(u, v) for u, v in zip(fan, reference))
+
+
+def test_direction_fan_reads_the_seed_above_three_dimensions():
+    nine, ten = np.array(direction_fan(4, 25, seed=9)), np.array(direction_fan(4, 25, seed=10))
+    assert not np.array_equal(nine, ten)
+    assert np.array_equal(np.array(direction_fan(4, 25, seed=9)), nine)
+
+
 def test_support_oracle_closed_forms():
     assert abs(support_oracle(INTEGRATOR, np.eye(2), BOX2, [1.0, 0.0]) - 1.0) <= 1e-9
     expected = 1.5 * (1.0 - np.exp(-1.0))
@@ -400,6 +456,56 @@ def test_blocked_sweep_matches_per_step_loop(steps, shuffled):
             # steps reaches about 2e-13 of |x|
             assert np.max(np.abs(points[k].X_dB - x)) <= 1e-12 * np.max(np.abs(x))
             assert points[k].switch_times == switches
+
+
+def _admire_shaped(shuffled):
+    """n = 3 with a 4-D box, or the box's 16 vertices shuffled into a list."""
+    rng = np.random.default_rng(71)
+    A = rng.standard_normal((3, 3))
+    A *= 2.0 / np.linalg.norm(A, 2)
+    sys_ = LinearSystem(A=A, X0=rng.standard_normal(3), T=1.0, m=4)
+    U = box_polytope(-rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4))
+    if shuffled:
+        U = vertex_polytope(rng.permutation(U.vertices))
+    return sys_, U, rng.standard_normal((3, 4))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["box", "vertex-list"])
+def test_sweep_supports_and_switches_match_single_points(shuffled):
+    # fans of 1, 7, 9 and 400 directions fill some blocks and leave others partial
+    sys_, U, B = _admire_shaped(shuffled)
+    fan = direction_fan(3, 400, seed=5)
+    for count in (1, 7, 9, 400):
+        for bp in boundary_sweep(sys_, B, U, fan[:count], 2000):
+            assert bp.support_value == float(bp.d @ bp.X_dB)
+            if count in (9, 400):
+                assert bp.switch_times == boundary_point(sys_, B, U, bp.d, 2000).switch_times
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["box", "vertex-list"])
+def test_sweep_checking_every_score_block_gives_the_same_points(shuffled, monkeypatch):
+    # a bound that never holds sends every block through the overflow check
+    sys_, U, B = _admire_shaped(shuffled)
+    fan = direction_fan(3, 40, seed=5)
+    fast = boundary_sweep(sys_, B, U, fan, 500)
+    monkeypatch.setattr(reach, "_SCORE_BOUND", 0.0)
+    for p, q in zip(fast, boundary_sweep(sys_, B, U, fan, 500)):
+        assert np.array_equal(p.X_dB, q.X_dB)
+        assert p.support_value == q.support_value
+        assert p.switch_times == q.switch_times
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_overflowing_scores_raise_numeric_error():
+    # X_dB is about 3e307 here, but the scores e^{A(T - t)} B reach 1.3e309;
+    # Q_B is finite, and the bound on the scores is not
+    sys_ = LinearSystem(A=[[50.0]], X0=[0.0], T=0.1, m=1)
+    for B in ([[1e307]], [[-1e307]]):
+        with pytest.raises(NumericError):
+            boundary_sweep(sys_, B, BOX1, [[1.0], [-1.0]], 200)
+    # finite scores of 1e308, but X_dB sums two of them
+    with pytest.raises(NumericError):
+        boundary_sweep(INTEGRATOR, [[1e308, 1e308], [0.0, 1.0]], BOX2, [[1.0, 0.0]], 50)
 
 
 @pytest.mark.parametrize("name", fixture_names())
