@@ -2,12 +2,14 @@
 
 Subcommands: optimize (select the input matrix), boundary (sweep boundary
 points to CSV), metric (print one growth metric), verify (sampled
-optimality check), fixtures (list or emit built-in problems).  Every
-computing command writes a manifest.json next to its outputs recording the
-configuration echo, package version, assumption regime, wall-clock time
-and produced files.  JSON outputs are json.dumps(..., indent=2,
-sort_keys=True) text.  warp_result.json lists each candidate's index and
-objective but not its matrix, which is
+optimality check), fixtures (list or emit built-in problems).  For every
+computing command main loads the configuration, makes the output
+directory, runs the command's cmd_* function, which returns the assumption
+regime, its output files, manifest extras and exit code, and writes the
+manifest.json recording the configuration echo, package version, regime,
+wall-clock time and produced files.  JSON outputs are
+json.dumps(..., indent=2, sort_keys=True) text.  warp_result.json lists
+each candidate's index and objective but not its matrix, which is
 ball_argmax(FrobeniusBall(C, r), outer(P0, u_i)) from the written P0 and the
 echoed configuration.
 
@@ -115,21 +117,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(out: Path, command: str, problem: ProblemConfig, regime: str,
-              started: float, outputs: list[str], extras: dict | None = None) -> None:
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": problem.echo,
-        "regime": regime,
-        "wall_clock_s": round(time.perf_counter() - started, 6),
-        "outputs": outputs,
-    }
-    if extras:
-        payload["extras"] = extras
-    _write_json(out / "manifest.json", payload)
-
-
 def _warp_payload(result: WarpResult, steps: int) -> dict:
     report = result.report
     return {
@@ -191,24 +178,16 @@ def _resolve_B(args, problem: ProblemConfig):
     return B, "custom", None
 
 
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    problem = _load_problem(args)
-    out = _out_dir(args)
+def cmd_optimize(args, problem: ProblemConfig, out: Path):
     result = _run_optimize(problem)
     _write_json(out / "warp_result.json", _warp_payload(result, problem.steps))
     print(f"G_nominal = {_fmt(result.G_nominal)}")
     print(f"G_optimized = {_fmt(result.G_optimized)}")
     print(f"i_star = {result.i_star}")
-    _manifest(out, "optimize", problem, result.report.regime, started,
-              ["warp_result.json"])
-    return 0
+    return result.report.regime, ["warp_result.json"], None, 0
 
 
-def cmd_boundary(args) -> int:
-    started = time.perf_counter()
-    problem = _load_problem(args)
-    out = _out_dir(args)
+def cmd_boundary(args, problem: ProblemConfig, out: Path):
     B, tag, result = _resolve_B(args, problem)
     fan = direction_fan(problem.system.n, problem.directions, problem.seed)
     points = boundary_sweep(problem.system, B, problem.control, fan, problem.steps)
@@ -224,9 +203,7 @@ def cmd_boundary(args) -> int:
         band = GROWTH_TIE_TOL * (1.0 + np.abs(s_nom))
         extras["directions_grown"] = int(np.count_nonzero(gap > band))
         extras["directions_tied"] = int(np.count_nonzero(np.abs(gap) <= band))
-    _manifest(out, "boundary", problem, _regime(problem, result), started,
-              [name], extras)
-    return 0
+    return _regime(problem, result), [name], extras, 0
 
 
 def _write_boundary_csv(path: Path, points) -> None:
@@ -242,10 +219,7 @@ def _write_boundary_csv(path: Path, points) -> None:
                 + (row * len(points)) % tuple(table.ravel().tolist()))
 
 
-def cmd_metric(args) -> int:
-    started = time.perf_counter()
-    problem = _load_problem(args)
-    out = _out_dir(args)
+def cmd_metric(args, problem: ProblemConfig, out: Path):
     B, tag, result = _resolve_B(args, problem)
     report = growth_metric(problem.system, B, problem.control,
                            problem.direction, problem.steps)
@@ -260,15 +234,10 @@ def cmd_metric(args) -> int:
         "steps": problem.steps,
     }
     _write_json(out / "metric.json", payload)
-    _manifest(out, "metric", problem, _regime(problem, result), started,
-              ["metric.json"])
-    return 0
+    return _regime(problem, result), ["metric.json"], None, 0
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    problem = _load_problem(args)
-    out = _out_dir(args)
+def cmd_verify(args, problem: ProblemConfig, out: Path):
     result = _run_optimize(problem)
     verdict = verify_optimality(problem.system, problem.control, problem.ball,
                                 problem.direction, problem.sense, args.samples,
@@ -300,9 +269,7 @@ def cmd_verify(args) -> int:
     else:
         print("FAIL: a sampled matrix beat the selected one in the theorem regime")
         code = 1
-    _manifest(out, "verify", problem, result.report.regime, started,
-              ["verdict.json"], {"exit_code": code})
-    return code
+    return result.report.regime, ["verdict.json"], {"exit_code": code}, code
 
 
 def cmd_fixtures(args) -> int:
@@ -357,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser("fixtures", help="list or emit built-in problems")
     p_fix.add_argument("--emit", help="fixture name to write as <name>.json")
     p_fix.add_argument("--out", help="output directory (default: current directory)")
-    p_fix.set_defaults(func=cmd_fixtures)
 
     return parser
 
@@ -369,7 +335,20 @@ _parser = lru_cache(maxsize=1)(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "fixtures":
+            return cmd_fixtures(args)
+        started = time.perf_counter()
+        problem = _load_problem(args)
+        out = _out_dir(args)
+        regime, outputs, extras, code = args.func(args, problem, out)
+        manifest = {"command": args.command, "version": __version__,
+                    "config": problem.echo, "regime": regime,
+                    "wall_clock_s": round(time.perf_counter() - started, 6),
+                    "outputs": outputs}
+        if extras:
+            manifest["extras"] = extras
+        _write_json(out / "manifest.json", manifest)
+        return code
     except NumericError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

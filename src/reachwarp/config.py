@@ -135,6 +135,12 @@ def _frobenius_ball(data: dict) -> FrobeniusBall:
                              radius=_number(spec, "radius"))
 
 
+def _default_directions(n: int) -> int:
+    """Boundary directions swept when the document gives none: both of the
+    two in 1-D, 64 around a circle, 400 otherwise."""
+    return {1: 2, 2: 64}.get(n, 400)
+
+
 def parse_config(data: dict) -> ProblemConfig:
     """Validate a decoded JSON document and build the problem objects."""
     _object(data, "configuration root", _TOP_LEVEL_KEYS)
@@ -159,7 +165,7 @@ def parse_config(data: dict) -> ProblemConfig:
     with _field("sense"):
         sense = _check_sense(data.get("sense", "grow"))
     steps = _int_field(data, "steps", DEFAULT_STEPS, 1)
-    directions = _int_field(data, "directions", {1: 2, 2: 64}.get(system.n, 400), 1)
+    directions = _int_field(data, "directions", _default_directions(system.n), 1)
     seed = _int_field(data, "seed", DEFAULT_SEED, 0)
     tol_doc = _object(data.get("tolerances", {}), "field 'tolerances'",
                       [f.name for f in fields(Tolerances)])

@@ -217,7 +217,7 @@ def ball_argmax(ball: FrobeniusBall, W, sense: str = "grow") -> np.ndarray:
     The maximizer ("grow") is center + radius * W / ||W||_F, the minimizer
     ("shrink") flips the sign of the step.  A zero gradient leaves every
     point of the ball equivalent, in which case the center is returned.  A
-    gradient whose norm overflows raises NumericError.
+    gradient norm or a returned matrix that overflows raises NumericError.
     """
     Wm = as_matrix(W, "gradient")
     if Wm.shape != ball.center.shape:
@@ -226,13 +226,15 @@ def ball_argmax(ball: FrobeniusBall, W, sense: str = "grow") -> np.ndarray:
     _check_sense(sense)
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = float(np.linalg.norm(Wm))
-    if not np.isfinite(nrm):
-        raise NumericError("gradient norm overflows")
-    if nrm == 0.0:
-        out = ball.center.copy()
-    else:
-        step = (ball.radius / nrm) * np.asarray(Wm)
-        out = ball.center + step if sense == "grow" else ball.center - step
+        if not np.isfinite(nrm):
+            raise NumericError("gradient norm overflows")
+        if nrm == 0.0:
+            out = ball.center.copy()
+        else:
+            step = (ball.radius / nrm) * np.asarray(Wm)
+            out = ball.center + step if sense == "grow" else ball.center - step
+            if not np.isfinite(out).all():
+                raise NumericError("ball point overflows")
     out.setflags(write=False)
     return out
 

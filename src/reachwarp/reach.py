@@ -232,16 +232,24 @@ def _score_factor(B: np.ndarray, U: ControlPolytope) -> np.ndarray:
     return B if U.is_box else B @ U.vertices.T
 
 
-def _select(scores: np.ndarray, U: ControlPolytope) -> np.ndarray:
-    """The vertex rule on the last axis of scores: a box's sign bits, bit j
-    set when (B^T P)_j > 0 (an exact zero gives 0), else the first argmax."""
-    return scores > 0.0 if U.is_box else np.argmax(scores, axis=-1)
+def _mask(scores: np.ndarray, U: ControlPolytope) -> np.ndarray:
+    """The vertex rule on the last axis of scores as a 0/1 mask: a box's sign
+    bits, bit j set when (B^T P)_j > 0 (an exact zero gives 0), else the
+    one-hot row of the first argmax, written over scores: a score block is
+    megabytes at large step counts, and a second live block of its size
+    costs fresh pages on every call (mode="raise" would buffer the output)."""
+    if U.is_box:
+        return scores > 0.0
+    return np.take(np.eye(scores.shape[-1]), np.argmax(scores, axis=-1), axis=0,
+                   out=scores, mode="clip")
 
 
 def _pick(scores: np.ndarray, U: ControlPolytope) -> np.ndarray:
     """Per row of scores, the index of the vertex maximizing P^T B u."""
-    sel = _select(scores, U)
-    return (sel @ (2.0 ** np.arange(U.m))).astype(np.intp) if U.is_box else sel
+    mask = _mask(scores.copy(), U)  # the caller's scores stay as they are
+    if U.is_box:
+        return (mask @ (2.0 ** np.arange(U.m))).astype(np.intp)
+    return np.argmax(mask, axis=-1)
 
 
 def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
@@ -249,8 +257,7 @@ def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
     matrix of a (K, n, m) stack.
 
     Blocks of at most _GROWTH_BLOCK scores are scored as S = P X, X the
-    blocks' _score_factor side by side (C columns each).  The mask of what
-    _select picks (a box's sign bits, else the one-hot vertex) gives
+    blocks' _score_factor side by side (C columns each).  Their _mask gives
     T = W^T mask, and G = sum_c coef_c <T_c, X_c> + const: a box's vertex is
     lo + (hi - lo) bits, so coef = hi - lo and const = (sum_k W_k)^T B lo,
     else coef = 1 and const = 0.  P and W come from _Grid.costates.
@@ -266,9 +273,7 @@ def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
     G = np.empty(len(Bs))
     for s in range(0, len(Bs), block):
         X = _score_factor(Bs[s:s + block], U).transpose(1, 0, 2).reshape(n, -1)
-        sel = _select((P @ X).reshape(N, -1, C), U)
-        mask = sel if U.is_box else np.take(np.eye(C), sel, axis=0)
-        T = W.T @ mask.reshape(N, -1)
+        T = W.T @ _mask((P @ X).reshape(N, -1, C), U).reshape(N, -1)
         G[s:s + block] = (T * X).reshape(n, -1, C).sum(axis=0) @ coef
     G += const
     if not np.all(np.isfinite(G)):
@@ -303,8 +308,8 @@ def _scores(Eh: np.ndarray, Q: np.ndarray, D: np.ndarray, C: int) -> np.ndarray:
 def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
            steps: int) -> list[BoundaryPoint]:
     """Boundary points of the checked (k, n) directions D, a block at a time:
-    _scores from the rows d^T E^{ab} and Q_B, then X_dB from what _select
-    picks as a 0/1 mask (0 on rows j >= steps) and the Y_r, and the supports
+    _scores from the rows d^T E^{ab} and Q_B, then X_dB from their _mask
+    (0 on rows j >= steps) and the Y_r, and the supports
     d . X_dB with one batched product, equal to float(d @ x) bit for bit.
     For a unit d every score is at most n^2 max|E^{ab}| max|Q_B| in size;
     only when that bound is not below _SCORE_BOUND (or is NaN) is each score
@@ -334,9 +339,8 @@ def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
             Db = D[s:s + block]
             scores = _scores(Eh, Q, Db, C)
             finite = bounded or np.isfinite(scores.min() + scores.max())
-            sel = _select(scores, U)
-            del scores  # the mask below is as large; keep one of them alive at a time
-            mask = sel if U.is_box else np.take(np.eye(C), sel, axis=0)
+            mask = _mask(scores, U)
+            del scores  # a box's mask is a new array; free the scores before the products
             mask[:, steps:] = 0
             Z = (mask.reshape(len(Db), count, -1) @ Y).reshape(len(Db), 1, -1)
             Xb = X[s:s + block]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .linalg import _tolerance
 from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, _count
 from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _grid, _growth,
@@ -48,7 +49,8 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> np.nda
     Each draw is a Gaussian direction scaled to radius * U^(1/dim) with dim
     the number of matrix entries (Muller's recipe for a norm ball).  One
     generator call draws all directions and one all radii; a direction that
-    is exactly zero is redrawn from the same generator.
+    is exactly zero is redrawn from the same generator.  A sample that
+    overflows raises NumericError.
     """
     k = _count(k, "sample count k")
     seed = _count(seed, "seed", minimum=0)
@@ -58,8 +60,11 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> np.nda
     radii = ball.radius * rng.random(k) ** (1.0 / dim)
     while len(zero := np.flatnonzero(~directions.any(axis=1))):
         directions[zero] = rng.standard_normal((len(zero), dim))
-    scale = radii / np.linalg.norm(directions, axis=1)
-    out = (ball.center.ravel() + scale[:, None] * directions).reshape(k, *ball.center.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = radii / np.linalg.norm(directions, axis=1)
+        out = (ball.center.ravel() + scale[:, None] * directions).reshape(k, *ball.center.shape)
+    if not np.isfinite(out).all():
+        raise NumericError("a sampled matrix overflows")
     out.setflags(write=False)
     return out
 

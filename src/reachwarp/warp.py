@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .linalg import DEFAULT_IMAG_TOL, SpectrumReport, _tolerance, eigvec_residual, spectrum
 from .linalg import mat_exp  # noqa: F401 - bench/test_bench.py reads warp.mat_exp
 from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, ball_argmax
@@ -114,18 +115,23 @@ def optimize_B(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall, d,
     smallest (for symmetric control sets that candidate pushes the
     dominant vertex functional down); ties go to the lowest index.  The
     returned result always carries the assumption report; callers decide
-    how loudly to warn outside the theorem regime.
+    how loudly to warn outside the theorem regime.  A gradient or
+    objective that overflows raises NumericError.
     """
     _, dv = _check_reach_args(sys, ball.center, U, d)
     _check_sense(sense)
     P0 = initial_costate(sys, dv)
     candidates = []
-    for i in range(U.num_vertices):
-        u = U.vertices[i]
-        W = np.outer(P0, u)
-        Bi = ball_argmax(ball, W, "grow")
-        candidates.append(Candidate(index=i, B=Bi, objective=float(P0 @ Bi @ u)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rounding is monotone, so this is the largest entry of every P0 u_i^T
+        if not np.isfinite(np.abs(P0).max() * np.abs(U.vertices).max()):
+            raise NumericError("a candidate gradient P0 u_i^T overflows")
+        for i, u in enumerate(U.vertices):
+            Bi = ball_argmax(ball, np.outer(P0, u), "grow")
+            candidates.append(Candidate(index=i, B=Bi, objective=float(P0 @ Bi @ u)))
     objectives = np.array([c.objective for c in candidates])
+    if not np.isfinite(objectives).all():
+        raise NumericError("a candidate objective P0^T B_i u_i overflows")
     degenerate = bool(np.max(np.abs(objectives)) == 0.0)
     if degenerate:
         i_star = 0

@@ -348,6 +348,61 @@ def test_overflowing_power_tables_exit_three_without_warnings(run_cli, tmp_path,
         assert caught == []
 
 
+@pytest.mark.parametrize("argv", [("optimize",), ("verify", "--samples", "20")],
+                         ids=("optimize", "verify"))
+@pytest.mark.parametrize("doc", [
+    # P0^T B_i u_i overflows
+    {"A": [[0.5]], "X0": [0.0], "T": 1.0,
+     "control": {"type": "box", "lo": [-1.0], "hi": [1.0]},
+     "admissible": {"type": "frobenius_ball", "center": [[1.5e308]], "radius": 0.1},
+     "direction": [1.0]},
+    # P0 = e^700 is finite, the gradient P0 u_i^T is not
+    {"A": [[700.0]], "X0": [0.0], "T": 1.0, "steps": 50,
+     "control": {"type": "box", "lo": [-1e5], "hi": [1e5]},
+     "admissible": {"type": "frobenius_ball", "center": [[1.0]], "radius": 0.1},
+     "direction": [1.0]},
+], ids=("objective", "gradient"))
+def test_overflowing_candidate_exits_three_without_warnings(run_cli, tmp_path, argv,
+                                                            doc):
+    cfg = tmp_path / "candidate.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        code, _, err = run_cli(*argv, "--config", cfg, "--out", tmp_path / "c")
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert caught == []
+
+
+def _failing_verdict(*args, **kwargs):
+    return SampleVerdict(samples=5, best_sampled_G=1.0, best_sampled_B=np.zeros((3, 2)),
+                         G_star=0.5, margin=-0.5, passed=False, tol_verify=1e-6)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("optimize",), 0),
+    (("metric", "--B", "optimized"), 0),
+    (("boundary", "--B", "optimized"), 0),
+    (("verify", "--samples", "30"), 0),
+    (("verify", "--samples", "5"), 1),
+], ids=("optimize", "metric", "boundary", "verify", "verify-fail"))
+def test_manifest_names_command_outputs_and_regime(run_cli, fixture_file, tmp_path,
+                                                   monkeypatch, argv, code):
+    if code == 1:
+        monkeypatch.setattr("reachwarp.cli.verify_optimality", _failing_verdict)
+    cfg = fixture_file("diag3_theorem")
+    out_dir = tmp_path / "o"
+    assert run_cli(*argv, "--config", cfg, "--out", out_dir)[0] == code
+    manifest = read_json(out_dir / "manifest.json")
+    assert manifest["command"] == argv[0]
+    assert manifest["regime"] == "theorem"
+    assert manifest["config"] == read_json(cfg)
+    written = sorted(path.name for path in out_dir.iterdir())
+    assert written == sorted(manifest["outputs"] + ["manifest.json"])
+    if argv[0] == "verify":
+        assert manifest["extras"]["exit_code"] == code
+
+
 def test_steps_override_recorded(run_cli, fixture_file, tmp_path):
     out_dir = tmp_path / "s"
     code, _, _ = run_cli("metric", "--config", fixture_file("scalar_analytic"),

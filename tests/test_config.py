@@ -47,6 +47,26 @@ def test_all_fixtures_parse(name):
     assert cfg.tolerances == Tolerances()
 
 
+def test_fixture_config_returns_a_new_dict_every_call():
+    before = {name: json.dumps(fixture_config(name)) for name in ALL_FIXTURES}
+    for name in ALL_FIXTURES:
+        doc = fixture_config(name)
+        doc["A"][0][0] = doc["X0"][0] = doc["direction"][0] = 123.0
+        doc["control"]["lo"][0] = doc["admissible"]["center"][0][0] = 123.0
+        doc["tolerances"]["tol_ev"] = 123.0
+    assert {name: json.dumps(fixture_config(name)) for name in ALL_FIXTURES} == before
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_fixture_run_parameters_are_the_package_defaults(name):
+    bare = fixture_config(name)
+    for key in ("steps", "seed", "tolerances", "directions"):
+        del bare[key]
+    cfg, default = parse_config(fixture_config(name)), parse_config(bare)
+    assert ((cfg.steps, cfg.seed, cfg.tolerances, cfg.directions)
+            == (default.steps, default.seed, default.tolerances, default.directions))
+
+
 def test_defaults_applied():
     cfg = parse_config(minimal_config())
     assert cfg.sense == "grow"

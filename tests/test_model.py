@@ -129,6 +129,14 @@ def test_ball_argmax_overflowing_gradient_raises_numeric_error():
         ball_argmax(ball, [[1e300, 1e300]], "grow")
 
 
+@pytest.mark.filterwarnings("error")
+def test_ball_argmax_overflowing_point_raises_numeric_error():
+    # the gradient norm is finite, but center + radius W / ||W||_F is not
+    ball = FrobeniusBall(center=[[1.7e308]], radius=1e308)
+    with pytest.raises(NumericError):
+        ball_argmax(ball, [[1.0]])
+
+
 def test_ball_argmax_scalar_senses():
     ball = FrobeniusBall(center=[[0.0]], radius=0.5)
     W = [[-2.0]]

@@ -678,6 +678,15 @@ def test_non_box_polytopes_keep_the_vertex_argmax():
         assert np.array_equal(_pick(scores, V), np.argmax(scores, axis=1))
 
 
+def test_pick_leaves_the_scores_unchanged():
+    # the kernel's one-hot mask of a vertex list is written over its scores
+    U = vertex_polytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    scores = np.random.default_rng(4).standard_normal((50, 3))
+    before = scores.copy()
+    assert np.array_equal(_pick(scores, U), np.argmax(before, axis=1))
+    assert np.array_equal(scores, before)
+
+
 def _run_sum_growth(P, W, B, U):
     # reference G_d of one matrix: the vertex argmax per step (ties to the
     # lowest index), then (sum of each run's W_k)^T B u_j run by run

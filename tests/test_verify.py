@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from reachwarp import (DomainError, FrobeniusBall, LinearSystem, ball_contains,
-                       box_polytope, optimize_B, parse_config, sample_ball,
-                       verify_optimality)
+from reachwarp import (DomainError, FrobeniusBall, LinearSystem, NumericError,
+                       ball_contains, box_polytope, optimize_B, parse_config,
+                       sample_ball, verify_optimality)
 from reachwarp.fixtures import fixture_config, fixture_names
 
 SCALAR_SYS = LinearSystem(A=[[-1.0]], X0=[0.0], T=1.0, m=1)
@@ -52,6 +52,13 @@ def test_sample_ball_fills_the_ball():
 def test_sample_ball_rejects_nonpositive_count():
     with pytest.raises(DomainError):
         sample_ball(SCALAR_BALL, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_ball_overflow_raises_numeric_error():
+    ball = FrobeniusBall(center=[[1.7e308, 0.0]], radius=1e308)
+    with pytest.raises(NumericError):
+        sample_ball(ball, 50, seed=0)
 
 
 def test_verify_scalar_grow_passes():

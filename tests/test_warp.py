@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from reachwarp import (DomainError, FrobeniusBall, LinearSystem, ball_contains,
-                       box_polytope, check_assumptions, initial_costate,
-                       optimize_B, sample_ball)
+from reachwarp import (DomainError, FrobeniusBall, LinearSystem, NumericError,
+                       ball_contains, box_polytope, check_assumptions,
+                       initial_costate, optimize_B, sample_ball)
 
 from conftest import series_exp
 
@@ -143,6 +143,18 @@ def test_optimize_degenerate_control_set():
 def test_optimize_rejects_bad_sense():
     with pytest.raises(DomainError):
         optimize_B(SCALAR_SYS, SCALAR_BOX, SCALAR_BALL, [1.0], sense="both")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A, steps, bound, center", [
+    ([[0.5]], 2000, 1.0, [[1.5e308]]),  # P0^T B_i u_i overflows
+    ([[700.0]], 50, 1e5, [[1.0]]),  # P0 = e^700 is finite, P0 u_i^T is not
+], ids=("objective", "gradient"))
+def test_optimize_overflowing_candidate_raises_numeric_error(A, steps, bound, center):
+    sys_ = LinearSystem(A=A, X0=[0.0], T=1.0, m=1)
+    ball = FrobeniusBall(center=center, radius=0.1)
+    with pytest.raises(NumericError):
+        optimize_B(sys_, box_polytope([-bound], [bound]), ball, [1.0], steps=steps)
 
 
 def test_candidate_table_structure_and_feasibility():
