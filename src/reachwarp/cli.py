@@ -31,11 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ProblemConfig, _array, _read_json, load_config
+from .config import ProblemConfig, _checked, _read_json, load_config
 from .errors import ConfigError, NumericError, ReachwarpError
 from .fixtures import fixture_config, fixture_description, fixture_names
-from .linalg import as_matrix
-from .model import _count
+from .linalg import _count, as_matrix
 from .reach import boundary_sweep, direction_fan, growth_metric
 from .verify import DEFAULT_SAMPLES, verify_optimality
 from .warp import REGIME_THEOREM, WarpResult, check_assumptions, optimize_B
@@ -172,7 +171,7 @@ def _resolve_B(args, problem: ProblemConfig):
         return result.B_star, "optimized", result
     data = _read_json(choice, "matrix file")
     try:
-        B = _array(data if isinstance(data, dict) else {"B": data}, "B", as_matrix)
+        B = _checked(data if isinstance(data, dict) else {"B": data}, "B", as_matrix)
     except ConfigError as exc:
         raise ConfigError(f"matrix file {choice}: {exc}") from exc
     return B, "custom", None

@@ -11,14 +11,13 @@ within 1e-6 of unit norm and rejected otherwise.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, ReachwarpError
-from .linalg import DEFAULT_IMAG_TOL, _direction_in, as_square, as_vector
+from .errors import ConfigError, DimensionError, DomainError, GeometryError, ReachwarpError
+from .linalg import DEFAULT_IMAG_TOL, _direction_in, _number, as_square, as_vector
 from .model import (ControlPolytope, FrobeniusBall, LinearSystem, _check_sense,
                     box_polytope, vertex_polytope)
 from .reach import DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args
@@ -86,28 +85,10 @@ def _object(value, where: str, allowed) -> dict:
     return value
 
 
-def _array(data: dict, key: str, check) -> np.ndarray:
-    """Field key validated by one of the linalg as_* functions."""
+def _checked(data: dict, key: str, check, default=None, **options):
+    """Field key validated by linalg's _number or one of its as_* functions."""
     with _field(key):
-        return check(_value(data, key), key)
-
-
-def _number(data: dict, key: str, default=None, minimum=None):
-    """A finite JSON number, at least minimum when one is given."""
-    value = _value(data, key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not math.isfinite(value))):
-        raise ConfigError(f"field '{key}': expected a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"field '{key}': must be at least {minimum}, got {value}")
-    return value
-
-
-def _int_field(data: dict, key: str, default: int | None, minimum: int) -> int:
-    value = _number(data, key, default, minimum)
-    if int(value) != value:
-        raise ConfigError(f"field '{key}': expected an integer, got {value!r}")
-    return int(value)
+        return check(_value(data, key, default), key, **options)
 
 
 def _control_polytope(data: dict) -> ControlPolytope:
@@ -130,9 +111,9 @@ def _frobenius_ball(data: dict) -> FrobeniusBall:
     if spec.get("type") != "frobenius_ball":
         raise ConfigError(f"field 'admissible.type': expected 'frobenius_ball', "
                           f"got {spec.get('type')!r}")
-    with _field("admissible"):
-        return FrobeniusBall(center=_value(spec, "center"),
-                             radius=_number(spec, "radius"))
+    # FrobeniusBall raises GeometryError for the radius only
+    with _field("admissible"), _field("radius", GeometryError):
+        return FrobeniusBall(center=_value(spec, "center"), radius=_value(spec, "radius"))
 
 
 def _default_directions(n: int) -> int:
@@ -144,16 +125,15 @@ def _default_directions(n: int) -> int:
 def parse_config(data: dict) -> ProblemConfig:
     """Validate a decoded JSON document and build the problem objects."""
     _object(data, "configuration root", _TOP_LEVEL_KEYS)
-    A = _array(data, "A", as_square)
-    X0 = _array(data, "X0", as_vector)
-    T = _number(data, "T")
+    A = _checked(data, "A", as_square)
+    X0 = _checked(data, "X0", as_vector)
     control = _control_polytope(data)
     ball = _frobenius_ball(data)
     # A is square and m >= 1 by now, so LinearSystem can only reject the
     # length of X0 (DimensionError) or the value of T (DomainError)
     with _field("X0", DimensionError), _field("T", DomainError):
-        system = LinearSystem(A=A, X0=X0, T=T, m=control.m)
-    direction = _array(data, "direction", as_vector)
+        system = LinearSystem(A=A, X0=X0, T=_value(data, "T"), m=control.m)
+    direction = _checked(data, "direction", as_vector)
     nrm = float(np.linalg.norm(direction))
     if abs(nrm - 1.0) > DIRECTION_LOAD_TOL:
         raise ConfigError(f"field 'direction': norm {nrm} is off unit by more "
@@ -164,13 +144,14 @@ def parse_config(data: dict) -> ProblemConfig:
         _check_reach_args(system, ball.center, control, direction)
     with _field("sense"):
         sense = _check_sense(data.get("sense", "grow"))
-    steps = _int_field(data, "steps", DEFAULT_STEPS, 1)
-    directions = _int_field(data, "directions", _default_directions(system.n), 1)
-    seed = _int_field(data, "seed", DEFAULT_SEED, 0)
+    steps = _checked(data, "steps", _number, DEFAULT_STEPS, minimum=1, whole=True)
+    directions = _checked(data, "directions", _number, _default_directions(system.n),
+                          minimum=1, whole=True)
+    seed = _checked(data, "seed", _number, DEFAULT_SEED, minimum=0, whole=True)
     tol_doc = _object(data.get("tolerances", {}), "field 'tolerances'",
                       [f.name for f in fields(Tolerances)])
-    tolerances = Tolerances(**{f.name: float(_number(tol_doc, f.name, f.default, 0))
-                               for f in fields(Tolerances)})
+    tolerances = Tolerances(**{f.name: _checked(tol_doc, f.name, _number, f.default,
+                                                minimum=0) for f in fields(Tolerances)})
     return ProblemConfig(system=system, control=control, ball=ball,
                          direction=direction, sense=sense, steps=steps,
                          directions=directions, seed=seed,

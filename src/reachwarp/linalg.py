@@ -8,10 +8,15 @@ All entry points validate shapes and finiteness and return read-only
 arrays.  Products this small never repay a hand-off to a second BLAS
 thread, so importing the package sets OPENBLAS_NUM_THREADS to 1 unless the
 caller has set it.
+
+_number is the package's one check of a scalar argument, and _finite its one
+overflow guard: callers compute with numpy's overflow warnings off and pass
+the result through it, which raises NumericError on a non-finite entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -25,12 +30,33 @@ DEFAULT_IMAG_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
-def _tolerance(value, name: str) -> float:
-    """value as a nonnegative float; anything else (NaN, a string, a negative
-    number) raises DomainError naming the argument."""
-    if not (isinstance(value, Real) and value >= 0.0):
-        raise DomainError(f"{name} must be a nonnegative number, got {value!r}")
-    return float(value)
+def _number(value, name: str, minimum=None, whole: bool = False, error=DomainError):
+    """value as a float, or as an int when whole.  A bool, a non-real, a value
+    that is not a finite float (an integer too large for one included), one
+    below minimum or, when whole, a fraction raises error naming the argument."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not (math.isfinite(x) and (x.is_integer() or not whole)):
+        raise error(f"{name} must be a {'whole' if whole else 'finite'} number, "
+                    f"got {value!r}")
+    if minimum is not None and x < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value) if whole else x
+
+
+def _count(value, name: str, minimum: int = 1, error=DomainError) -> int:
+    """value as an int of at least minimum; integral floats such as 2000.0 pass."""
+    return _number(value, name, minimum, True, error)
+
+
+def _finite(x, what: str):
+    """x, unless an entry of it is non-finite: then NumericError naming what."""
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise NumericError(f"{what} is non-finite (overflow)")
+    return x
 
 
 def _as_array(value, name: str, ndim: int) -> np.ndarray:
@@ -115,9 +141,7 @@ def mat_exp(M) -> np.ndarray:
     """Matrix exponential e^M of a square real matrix; NumericError on overflow."""
     A = as_square(M, "mat_exp argument")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(np.asarray(A))
-    if not np.isfinite(out).all():
-        raise NumericError("matrix exponential is non-finite (overflow)")
+        out = _finite(scipy.linalg.expm(np.asarray(A)), "matrix exponential")
     out.setflags(write=False)
     return out
 
@@ -125,7 +149,7 @@ def mat_exp(M) -> np.ndarray:
 def spectrum(M, tol_spec: float = DEFAULT_IMAG_TOL) -> SpectrumReport:
     """Eigenvalues of M with an all-real flag at imaginary-part tolerance tol_spec."""
     A = as_square(M, "spectrum argument")
-    tol_spec = _tolerance(tol_spec, "tol_spec")
+    tol_spec = _number(tol_spec, "tol_spec", 0)
     try:
         eig = np.linalg.eigvals(np.asarray(A))
     except np.linalg.LinAlgError as exc:

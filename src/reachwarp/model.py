@@ -7,34 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, GeometryError, NumericError
-from .linalg import as_matrix, as_square, as_vector
+from .linalg import _count, _finite, _number, as_matrix, as_square, as_vector
 
 BALL_CONTAINS_TOL = 1e-12
-
-
-def _as_number(value, fallback):
-    """float(value), or fallback when value is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return fallback
-
-
-def _count(value, name: str, minimum: int = 1, error=DomainError) -> int:
-    """value as an int of at least minimum.  Integers and integral floats
-    such as 2000.0 pass; non-numbers, non-finite and non-integral values
-    raise error naming the argument."""
-    if not (isinstance(value, Integral)
-            or isinstance(value, Real) and float(value).is_integer()):
-        raise error(f"{name} must be a whole number, got {value!r}")
-    if value < minimum:
-        raise error(f"{name} must be at least {minimum}, got {value!r}")
-    return int(value)
 
 
 def _check_sense(sense: str) -> str:
@@ -63,9 +42,9 @@ class LinearSystem:
         if X0.shape[0] != A.shape[0]:
             raise DimensionError(f"X0 has length {X0.shape[0]} but A is "
                                  f"{A.shape[0]}x{A.shape[0]}")
-        T = _as_number(self.T, np.nan)
-        if not np.isfinite(T) or T <= 0.0:
-            raise DomainError(f"T must be a positive finite number, got {self.T!r}")
+        T = _number(self.T, "T")
+        if T <= 0.0:
+            raise DomainError(f"T must be positive, got {self.T!r}")
         m = _count(self.m, "input dimension m", error=DimensionError)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "X0", X0)
@@ -195,10 +174,7 @@ class FrobeniusBall:
 
     def __post_init__(self):
         center = as_matrix(self.center, "ball center")
-        radius = _as_number(self.radius, np.nan)
-        if not np.isfinite(radius) or radius < 0.0:
-            raise GeometryError(f"ball radius must be a nonnegative finite number, "
-                                f"got {self.radius!r}")
+        radius = _number(self.radius, "ball radius", 0, error=GeometryError)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 
@@ -225,16 +201,13 @@ def ball_argmax(ball: FrobeniusBall, W, sense: str = "grow") -> np.ndarray:
                              f"{ball.center.shape} matrices")
     _check_sense(sense)
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = float(np.linalg.norm(Wm))
-        if not np.isfinite(nrm):
-            raise NumericError("gradient norm overflows")
+        nrm = _finite(float(np.linalg.norm(Wm)), "gradient norm")
         if nrm == 0.0:
             out = ball.center.copy()
         else:
             step = (ball.radius / nrm) * np.asarray(Wm)
-            out = ball.center + step if sense == "grow" else ball.center - step
-            if not np.isfinite(out).all():
-                raise NumericError("ball point overflows")
+            out = _finite(ball.center + step if sense == "grow" else ball.center - step,
+                          "ball point")
     out.setflags(write=False)
     return out
 

@@ -52,13 +52,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import isqrt
-from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, GeometryError, NumericError
-from .linalg import _direction_in, _unit_rows, as_matrix, mat_exp
-from .model import ControlPolytope, LinearSystem, _count
+from .errors import DimensionError, DomainError, GeometryError
+from .linalg import (_count, _direction_in, _finite, _number, _unit_rows, as_matrix,
+                     mat_exp)
+from .model import ControlPolytope, LinearSystem
 
 DEFAULT_STEPS = 2000
 
@@ -85,7 +85,7 @@ class CostatePath:
 
     def at(self, t: float) -> np.ndarray:
         """Adjoint value P(t) for t in [0, T]."""
-        if not (isinstance(t, Real) and 0.0 <= t <= self.T):
+        if not 0.0 <= _number(t, "t") <= self.T:
             raise DomainError(f"t must lie in [0, {self.T}], got {t!r}")
         return mat_exp(self.A.T * (self.T - float(t))) @ self.d
 
@@ -184,26 +184,25 @@ def _build_grid(a_key: bytes, n: int, T: float, steps: int) -> _Grid:
     A = np.frombuffer(a_key, dtype=float).reshape(n, n)
     h = T / steps
     aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = A * h
-    aug[:n, n:] = np.eye(n) * h
-    EG = np.asarray(mat_exp(aug))
-    E = EG[:n, :n].copy()
-    Gam = EG[:n, n:].copy()
-    F = mat_exp(A.T * (h / 2.0))
-    b = isqrt(steps - 1) + 1
-    Er = np.empty((b, n, n))
-    Er[0] = np.eye(n)
-    Eab = np.empty((steps // b + 1, n, n))
-    Eab[0] = Er[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        aug[:n, :n] = A * h
+        aug[:n, n:] = np.eye(n) * h
+        EG = np.asarray(mat_exp(aug))
+        E = EG[:n, :n].copy()
+        Gam = EG[:n, n:].copy()
+        F = mat_exp(A.T * (h / 2.0))
+        b = isqrt(steps - 1) + 1
+        Er = np.empty((b, n, n))
+        Er[0] = np.eye(n)
+        Eab = np.empty((steps // b + 1, n, n))
+        Eab[0] = Er[0]
         for r in range(1, b):
             Er[r] = E @ Er[r - 1]
         Eb = E @ Er[b - 1]
         for a in range(1, len(Eab)):
             Eab[a] = Eb @ Eab[a - 1]
-    if not (np.all(np.isfinite(Er)) and np.all(np.isfinite(Eab))):
-        raise NumericError("powers of the step matrix overflow; the dynamics "
-                           "overflow the horizon")
+    _finite(Er, "power of the step matrix")
+    _finite(Eab, "power of the step matrix")
     for M in (E, Gam, Er, Eab):
         M.setflags(write=False)
     return _Grid(steps, h, E, Gam, F, Er, Eab)
@@ -264,21 +263,20 @@ def _growth(P: np.ndarray, W: np.ndarray, B: np.ndarray, U: ControlPolytope):
     """
     Bs = np.reshape(B, (-1, *np.shape(B)[-2:]))
     V, (N, n) = U.vertices, P.shape
-    if U.is_box:
-        coef, const = V[-1] - V[0], (W.sum(axis=0) @ Bs) @ V[0]
-    else:
-        coef, const = np.ones(U.num_vertices), 0.0
-    C = coef.shape[0]
-    block = max(1, _GROWTH_BLOCK // (N * C))
     G = np.empty(len(Bs))
-    for s in range(0, len(Bs), block):
-        X = _score_factor(Bs[s:s + block], U).transpose(1, 0, 2).reshape(n, -1)
-        T = W.T @ _mask((P @ X).reshape(N, -1, C), U).reshape(N, -1)
-        G[s:s + block] = (T * X).reshape(n, -1, C).sum(axis=0) @ coef
-    G += const
-    if not np.all(np.isfinite(G)):
-        raise NumericError("growth metric is non-finite; the dynamics overflow "
-                           "the horizon")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if U.is_box:
+            coef, const = V[-1] - V[0], (W.sum(axis=0) @ Bs) @ V[0]
+        else:
+            coef, const = np.ones(U.num_vertices), 0.0
+        C = coef.shape[0]
+        block = max(1, _GROWTH_BLOCK // (N * C))
+        for s in range(0, len(Bs), block):
+            X = _score_factor(Bs[s:s + block], U).transpose(1, 0, 2).reshape(n, -1)
+            T = W.T @ _mask((P @ X).reshape(N, -1, C), U).reshape(N, -1)
+            G[s:s + block] = (T * X).reshape(n, -1, C).sum(axis=0) @ coef
+        G += const
+    _finite(G, "growth metric")
     return float(G[0]) if np.ndim(B) == 2 else G
 
 
@@ -313,8 +311,9 @@ def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
     d . X_dB with one batched product, equal to float(d @ x) bit for bit.
     For a unit d every score is at most n^2 max|E^{ab}| max|Q_B| in size;
     only when that bound is not below _SCORE_BOUND (or is NaN) is each score
-    block checked for overflow.  The points share one (h, Eh, Q_B, U) source, from
-    which switch_times is built on access."""
+    block checked for overflow.  A non-finite point has a non-finite support,
+    so one check of the supports after the last block covers both.  The points
+    share one (h, Eh, Q_B, U) source, from which switch_times is built on access."""
     n, V, g = sys.n, U.vertices, _grid(sys, steps)
     b, count = g.Er.shape[0], g.Eab.shape[0]
     factor = _score_factor(Bm, U)
@@ -338,17 +337,16 @@ def _sweep(sys: LinearSystem, Bm: np.ndarray, U: ControlPolytope, D: np.ndarray,
         for s in range(0, len(D), block):
             Db = D[s:s + block]
             scores = _scores(Eh, Q, Db, C)
-            finite = bounded or np.isfinite(scores.min() + scores.max())
+            if not bounded:
+                _finite(scores.min() + scores.max(), "vertex score")
             mask = _mask(scores, U)
             del scores  # a box's mask is a new array; free the scores before the products
             mask[:, steps:] = 0
             Z = (mask.reshape(len(Db), count, -1) @ Y).reshape(len(Db), 1, -1)
             Xb = X[s:s + block]
             Xb[:] = x_base + (Z @ Eh.T)[:, 0]
-            if not (finite and np.all(np.isfinite(Xb))):
-                raise NumericError("boundary point is non-finite; the dynamics overflow "
-                                   "the horizon")
             S[s:s + block] = (Db[:, None] @ Xb[:, :, None])[:, 0, 0]
+    _finite(S, "support d . X_dB")
     X.setflags(write=False)
     source = (g.h, Eh, Q, U)
     return [BoundaryPoint(d, x, s, steps, source) for d, x, s in zip(D, X, S.tolist())]
@@ -372,11 +370,7 @@ def zero_input_endpoint(sys: LinearSystem) -> np.ndarray:
     """Endpoint e^{AT} X0 of the drift-only trajectory (u = 0); raises
     NumericError, with no numpy warning, when it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c0 = _flow(sys.A.tobytes(), sys.n, sys.T) @ sys.X0
-    if not np.all(np.isfinite(c0)):
-        raise NumericError("drift endpoint is non-finite; the dynamics overflow "
-                           "the horizon")
-    return c0
+        return _finite(_flow(sys.A.tobytes(), sys.n, sys.T) @ sys.X0, "drift endpoint")
 
 
 def growth_metric(sys: LinearSystem, B, U: ControlPolytope, d,
@@ -493,18 +487,15 @@ def support_oracle(sys: LinearSystem, B, U: ControlPolytope, d,
     """
     Bm, dv = _check_reach_args(sys, B, U, d)
     quad_nodes = _count(quad_nodes, "quad_nodes", minimum=2)
-    drift = float(dv @ zero_input_endpoint(sys))
     delta, Er, Eab = _node_table(sys.A.tobytes(), sys.n, sys.T, quad_nodes)
     npts = 2 * quad_nodes + 1
     weights = np.ones(npts)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     with np.errstate(over="ignore", invalid="ignore"):
+        drift = float(dv @ zero_input_endpoint(sys))
         W = ((dv @ Eab) @ Er).reshape(-1, sys.n)[:npts]
         phi = np.max((Bm @ U.vertices.T).T @ W.T, axis=0)
         support = drift + float(delta / 3.0 * (weights @ phi))
     # a non-finite table entry or score makes phi, and so the support, non-finite
-    if not np.isfinite(support):
-        raise NumericError("quadrature integrand is non-finite; the dynamics overflow "
-                           "the horizon")
-    return support
+    return _finite(support, "quadrature support")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-from .linalg import _tolerance
-from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, _count
+from .linalg import _count, _finite, _number
+from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense
 from .reach import (DEFAULT_SEED, DEFAULT_STEPS, _check_reach_args, _grid, _growth,
                     growth_metric)  # noqa: F401 - bench/test_bench.py reads it
 from .warp import WarpResult, optimize_B
@@ -63,8 +62,7 @@ def sample_ball(ball: FrobeniusBall, k: int, seed: int = DEFAULT_SEED) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         scale = radii / np.linalg.norm(directions, axis=1)
         out = (ball.center.ravel() + scale[:, None] * directions).reshape(k, *ball.center.shape)
-    if not np.isfinite(out).all():
-        raise NumericError("a sampled matrix overflows")
+    _finite(out, "sampled matrix")
     out.setflags(write=False)
     return out
 
@@ -85,7 +83,7 @@ def verify_optimality(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall
     sample winning ties, so it does not depend on evaluation order.
     """
     _check_sense(sense)
-    tol_verify = _tolerance(tol_verify, "tol_verify")
+    tol_verify = _number(tol_verify, "tol_verify", 0)
     samples = sample_ball(ball, k, seed)
     if result is None:
         result = optimize_B(sys, U, ball, d, sense, steps)

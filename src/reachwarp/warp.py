@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-from .linalg import DEFAULT_IMAG_TOL, SpectrumReport, _tolerance, eigvec_residual, spectrum
+from .linalg import (DEFAULT_IMAG_TOL, SpectrumReport, _finite, _number, eigvec_residual,
+                     spectrum)
 from .linalg import mat_exp  # noqa: F401 - bench/test_bench.py reads warp.mat_exp
 from .model import ControlPolytope, FrobeniusBall, LinearSystem, _check_sense, ball_argmax
 from .reach import DEFAULT_STEPS, _check_reach_args, costate_path, growth_metric
@@ -86,7 +86,7 @@ def initial_costate(sys: LinearSystem, d) -> np.ndarray:
 def check_assumptions(sys: LinearSystem, d, tol_spec: float = DEFAULT_IMAG_TOL,
                       tol_ev: float = DEFAULT_EIGVEC_TOL) -> AssumptionReport:
     """Classify (A, d) into the theorem regime or one of the heuristic regimes."""
-    tol_ev = _tolerance(tol_ev, "tol_ev")
+    tol_ev = _number(tol_ev, "tol_ev", 0)
     mu, residual = eigvec_residual(sys.A.T, d)
     spec = spectrum(sys.A, tol_spec)
     a1 = spec.all_real
@@ -124,14 +124,12 @@ def optimize_B(sys: LinearSystem, U: ControlPolytope, ball: FrobeniusBall, d,
     candidates = []
     with np.errstate(over="ignore", invalid="ignore"):
         # rounding is monotone, so this is the largest entry of every P0 u_i^T
-        if not np.isfinite(np.abs(P0).max() * np.abs(U.vertices).max()):
-            raise NumericError("a candidate gradient P0 u_i^T overflows")
+        _finite(np.abs(P0).max() * np.abs(U.vertices).max(), "gradient P0 u_i^T")
         for i, u in enumerate(U.vertices):
             Bi = ball_argmax(ball, np.outer(P0, u), "grow")
             candidates.append(Candidate(index=i, B=Bi, objective=float(P0 @ Bi @ u)))
-    objectives = np.array([c.objective for c in candidates])
-    if not np.isfinite(objectives).all():
-        raise NumericError("a candidate objective P0^T B_i u_i overflows")
+    objectives = _finite(np.array([c.objective for c in candidates]),
+                         "candidate objective P0^T B_i u_i")
     degenerate = bool(np.max(np.abs(objectives)) == 0.0)
     if degenerate:
         i_star = 0

@@ -374,6 +374,26 @@ def test_overflowing_candidate_exits_three_without_warnings(run_cli, tmp_path, a
     assert caught == []
 
 
+@pytest.mark.parametrize("B", ["nominal", "optimized"])
+def test_overflowing_support_exits_three_without_warnings(run_cli, tmp_path, B):
+    # every X_dB is finite; the support of the diagonal direction is not
+    doc = {"A": [[0.0, 0.0], [0.0, 0.0]], "X0": [1.5e308, 1.5e308], "T": 1.0,
+           "steps": 50, "control": {"type": "box", "lo": [-1.0], "hi": [1.0]},
+           "admissible": {"type": "frobenius_ball", "center": [[1.0], [0.0]],
+                          "radius": 0.1},
+           "direction": [1.0, 0.0], "directions": 8}
+    cfg = tmp_path / "support.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        code, _, err = run_cli("boundary", "--B", B, "--config", cfg,
+                               "--out", tmp_path / "s")
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert caught == []
+    assert not (tmp_path / "s" / f"boundary_{B}.csv").exists()
+
+
 def _failing_verdict(*args, **kwargs):
     return SampleVerdict(samples=5, best_sampled_G=1.0, best_sampled_B=np.zeros((3, 2)),
                          G_star=0.5, margin=-0.5, passed=False, tol_verify=1e-6)
@@ -438,7 +458,12 @@ def test_module_entry_point_exit_codes():
     ("seed", {"seed": float("-inf")}),
     ("tol_spec", {"tolerances": {"tol_spec": float("nan")}}),
     ("tol_verify", {"tolerances": {"tol_verify": float("nan")}}),
-], ids=("steps-nan", "steps-inf", "seed--inf", "tol_spec-nan", "tol_verify-nan"))
+    # integers past the double range are not finite numbers either
+    ("steps", {"steps": 10 ** 400}),
+    ("seed", {"seed": 10 ** 400}),
+    ("T", {"T": 10 ** 400}),
+], ids=("steps-nan", "steps-inf", "seed--inf", "tol_spec-nan", "tol_verify-nan",
+        "steps-giant", "seed-giant", "T-giant"))
 def test_non_finite_config_numbers_exit_two(run_cli, fixture_file, tmp_path,
                                             field, override):
     cfg = fixture_file("diag3_theorem", **override)

@@ -5,6 +5,8 @@ each; this pins that every entry point still reaches them, with the same
 exception class.  Malformed arguments (a NaN tolerance, a string where a
 number belongs, a count of 2.5 or infinity, a ragged vertex list) raise the
 package's own errors, never Python's ValueError, TypeError or OverflowError.
+A bool, a numeric string and an integer too large for a double are rejected
+too, as parse_config rejects them in a configuration.
 """
 
 import numpy as np
@@ -173,6 +175,24 @@ ARGUMENT_CASES = {
                                "seed"),
     "direction_fan-seed-negative": (lambda: direction_fan(5, 4, seed=-1), DomainError,
                                     "seed"),
+    "LinearSystem-T-numeric-string": (
+        lambda: LinearSystem(A=SYS.A, X0=SYS.X0, T="2", m=1), DomainError, "T must"),
+    "FrobeniusBall-radius-numeric-string": (
+        lambda: FrobeniusBall(center=GOOD["B"], radius="0.5"), GeometryError, "radius"),
+    "boundary_point-steps-bool": (lambda: _point(True), DomainError, "steps"),
+    "boundary_point-steps-giant": (lambda: _point(10 ** 400), DomainError, "steps"),
+    "sample_ball-k-bool": (lambda: sample_ball(_ball(GOOD["B"]), True), DomainError,
+                           "count k"),
+    "sample_ball-seed-giant": (lambda: sample_ball(_ball(GOOD["B"]), 3, seed=10 ** 400),
+                               DomainError, "seed"),
+    "direction_fan-n-bool": (lambda: direction_fan(True, 2), DimensionError,
+                             "dimension n"),
+    "check_assumptions-tol_ev-bool": (
+        lambda: check_assumptions(SYS, GOOD["d"], tol_ev=True), DomainError, "tol_ev"),
+    "check_assumptions-tol_ev-inf": (
+        lambda: check_assumptions(SYS, GOOD["d"], tol_ev=INF), DomainError, "tol_ev"),
+    "costate_path-t-bool": (lambda: costate_path(SYS, GOOD["d"]).at(True), DomainError,
+                            "t must"),
 }
 
 

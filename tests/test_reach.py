@@ -628,6 +628,23 @@ def test_drift_overflow_raises_numeric_error_without_warning():
         support_oracle(sys_, [[1.0]], BOX1, [1.0])
 
 
+# A = 0 keeps every X_dB near X0, within the double range; the support along
+# the diagonal, about 2.1e308, is not
+HUGE_X0 = LinearSystem(A=np.zeros((2, 2)), X0=[1.5e308, 1.5e308], T=1.0, m=1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_support_overflow_raises_numeric_error_without_warning():
+    with pytest.raises(NumericError):
+        boundary_sweep(HUGE_X0, [[1.0], [0.0]], BOX1, direction_fan(2, 8), 50)
+    with pytest.raises(NumericError):
+        support_oracle(HUGE_X0, [[1.0], [0.0]], BOX1, np.array([1.0, 1.0]) / np.sqrt(2.0))
+    # a point that overflows across d has support 1 * x_1 + 0 * inf = NaN
+    across = LinearSystem(A=np.diag([0.0, 35.4]), X0=[0.0, 1e10], T=20.0, m=1)
+    with pytest.raises(NumericError):
+        boundary_point(across, [[1.0], [0.0]], BOX1, [1.0, 0.0], 2000)
+
+
 def test_growth_kernel_overflow_raises_numeric_error():
     sys_ = LinearSystem(A=[[50.0]], X0=[0.0], T=20.0, m=1)
     d = np.array([1.0])

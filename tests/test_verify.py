@@ -61,6 +61,17 @@ def test_sample_ball_overflow_raises_numeric_error():
         sample_ball(ball, 50, seed=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_growth_overflow_raises_numeric_error_without_warning():
+    # B* of a unit ball scores finitely; samples near 1.7e308 overflow G_d
+    sys_ = LinearSystem(A=np.zeros((2, 2)), X0=[1.5e308, 1.5e308], T=1.0, m=1)
+    result = optimize_B(sys_, SCALAR_BOX, FrobeniusBall([[1.0], [0.0]], 0.1), [1.0, 0.0],
+                        steps=50)
+    huge = FrobeniusBall([[1.7e308], [1.7e308]], 0.1)
+    with pytest.raises(NumericError):
+        verify_optimality(sys_, SCALAR_BOX, huge, [1.0, 0.0], k=5, steps=50, result=result)
+
+
 def test_verify_scalar_grow_passes():
     verdict = verify_optimality(SCALAR_SYS, SCALAR_BOX, SCALAR_BALL, [1.0],
                                 sense="grow", k=1000, seed=42)
